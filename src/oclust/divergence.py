@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -23,6 +23,8 @@ class Support:
         vals = tuple(float(v) for v in self.values)
         if len(vals) < 2:
             raise ValueError("support needs at least 2 points")
+        if not all(math.isfinite(v) for v in vals):
+            raise ValueError("support values must be finite")
         if any(b <= a for a, b in zip(vals, vals[1:])):
             raise ValueError("support values must be strictly increasing")
         object.__setattr__(self, "values", vals)
@@ -47,8 +49,8 @@ class Distribution:
             raise ValueError(
                 f"expected {support.q} probabilities, got {len(probs)}"
             )
-        if any(p < 0.0 or p > 1.0 for p in probs):
-            raise ValueError("probabilities must lie in [0, 1]")
+        if not all(0.0 <= p <= 1.0 for p in probs):  # also rejects NaN
+            raise ValueError("probabilities must be finite and lie in [0, 1]")
         total = math.fsum(probs)
         if abs(total - 1.0) > PROB_TOL:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
@@ -178,11 +180,3 @@ def product_distribution(f: Distribution, g: Distribution) -> Distribution:
     probs = np.outer(f.probs_array, g.probs_array).ravel()
     return Distribution(Support(tuple(range(f.q * g.q))), probs)
 
-
-def empirical(support: Support, counts: Sequence[int] | np.ndarray) -> Distribution:
-    """Plug-in empirical pmf from per-support-point counts."""
-    counts = np.asarray(counts, dtype=np.float64)
-    total = counts.sum()
-    if total <= 0:
-        raise ValueError("empirical distribution needs at least one observation")
-    return Distribution(support, counts / total)

@@ -32,6 +32,8 @@ class Constants:
     scale: float = 1.0
 
     def __post_init__(self):
+        if not all(math.isfinite(x) for x in (self.c, self.c_prime, self.scale)):
+            raise ValueError("c, c_prime and scale must be finite")
         if self.c_prime < 3.0:
             raise ValueError("c_prime must be >= 3")
         if self.c < 36.0 * self.c_prime:

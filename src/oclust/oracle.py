@@ -49,10 +49,6 @@ class Oracle:
         """Number of distinct pairs ever asked."""
         return len(self._memo)
 
-    def asked(self, u: int, v: int) -> bool:
-        key = (u, v) if u < v else (v, u)
-        return key in self._memo
-
 
 def csv_query_logger(fh) -> QueryLogger:
     """Audit logger writing ``step,u,v,answer`` rows to an open text file."""

@@ -53,9 +53,34 @@ def run_baseline(
 
 
 class LvState:
-    """Clusters in nonincreasing size order plus a staleness-aware cache of
-    membership scores (a cluster's column is recomputed only after its size
-    changed)."""
+    """Clusters in nonincreasing size order plus an incremental ranking of
+    the unclustered pool.
+
+    Unclustered vertices live in a compact pool: slots ``0..m-1`` of
+    ``ids``, with ``slot`` mapping a vertex back to its slot; placing a
+    vertex swap-removes it, moving the last slot's rows into its place.
+    Every per-vertex array is indexed by slot and only the live prefix
+    ``[:m]`` is ever read.
+
+    Cache invariant, holding between rounds for every live slot i:
+
+    - ``inter[c, :, i]`` counts the side-information values between vertex
+      ``ids[i]`` and the members of cluster c (every cluster, ranked or not),
+      stored one value plane per row so that scoring reads whole planes;
+    - ``scores[c, i]`` is its membership in c, for every rankable cluster c
+      (size >= 2), as :func:`hellinger2_rows` computes it; only the pool rows
+      are scored, and a cluster is rescored only when it grew
+      (``scored_at[c]`` is the size it was scored at);
+    - ``best[i]`` is the first maximum of ``scores[:, i]`` over the rankable
+      clusters taken in size order, so on equal scores the earlier cluster
+      in ``order`` (the larger one, then the older one) wins; ``best_score``
+      holds that maximum.
+
+    When cluster c grows, rows whose cached best is another cluster b only
+    compare c against b: the others' scores and relative order are
+    unchanged. Rows whose cached best was c itself are re-ranked by a full
+    argmax in size order.
+    """
 
     def __init__(self, instance: Instance):
         n, q = instance.n, instance.q
@@ -63,45 +88,118 @@ class LvState:
         self.q = q
         self.dense = instance.side.dense()
         self.clustering = ClusteringState(n)
-        self.inter: list[np.ndarray] = []  # per cluster: (n, q) value counts
+        self.m = n  # live pool slots
+        self.ids = np.arange(n)  # slot -> unclustered vertex
+        self.slot = np.arange(n)  # vertex -> slot, while unclustered
+        cap = 4  # cluster capacity of the arrays below, doubled on demand
+        self.inter = np.zeros((cap, q, n))  # cluster x value x slot counts
+        self.scores = np.empty((cap, n))  # cluster x slot membership
+        self.best = np.full(n, -1)  # slot -> cached best rankable cluster
+        self.best_score = np.full(n, -np.inf)
         self.intra: list[np.ndarray] = []  # per cluster: (q,) pair value counts
-        self.scores: list[np.ndarray] = []  # per cluster: (n,) cached membership
-        self.scored_at: list[int] = []  # cluster size when the column was cached
+        self.scored_at: list[int] = []  # cluster size when it was last scored
+        self.order: list[int] = []  # cluster ids by (-size, id)
+        self.pos = np.zeros(cap, dtype=np.int64)  # cluster id -> index in order
+        self.num_rankable = 0  # clusters of size >= 2: a prefix of order
 
-    def order(self) -> list[int]:
-        """Cluster ids by nonincreasing size, ties toward earlier creation."""
-        return sorted(
-            range(self.clustering.num_clusters),
-            key=lambda c: (-self.clustering.size(c), c),
-        )
+    def rankable(self) -> list[int]:
+        return self.order[: self.num_rankable]
 
     def join(self, v: int, cid: int) -> None:
         members = self.clustering.members[cid]
-        self.intra[cid] += np.bincount(
-            self.dense[v, members].astype(np.int64), minlength=self.q
-        )
-        col = self.dense[:, v].astype(np.int64)
-        self.inter[cid][np.arange(self.n), col] += 1.0
+        self.intra[cid] += np.bincount(self.dense[v, members], minlength=self.q)
+        self._remove(v)
+        self._count(v, cid)
         self.clustering.add(v, cid)
+        self._promote(cid)
+        if self.clustering.size(cid) == 2:
+            self.num_rankable += 1
+        self._rerank(cid)
 
     def open_singleton(self, v: int) -> int:
         cid = self.clustering.new_cluster(v)
-        self.inter.append(np.zeros((self.n, self.q)))
+        if cid == self.inter.shape[0]:
+            self.inter = np.concatenate([self.inter, np.zeros_like(self.inter)])
+            self.scores = np.concatenate([self.scores, np.empty_like(self.scores)])
+            self.pos = np.concatenate([self.pos, np.zeros_like(self.pos)])
         self.intra.append(np.zeros(self.q))
-        self.scores.append(np.full(self.n, -np.inf))
         self.scored_at.append(1)
-        col = self.dense[:, v].astype(np.int64)
-        self.inter[cid][np.arange(self.n), col] += 1.0
+        self.pos[cid] = len(self.order)
+        self.order.append(cid)
+        self._remove(v)
+        self._count(v, cid)
         return cid
 
     def fresh_scores(self, cid: int) -> np.ndarray:
+        """Membership of every pool vertex in ``cid``, rescored if it grew."""
         size = self.clustering.size(cid)
+        m = self.m
         if self.scored_at[cid] != size:
             pairs = size * (size - 1) / 2
             p_c = self.intra[cid] / pairs
-            self.scores[cid] = -hellinger2_rows(self.inter[cid], p_c)
+            counts = self.inter[cid, :, :m].T
+            if self.q > 2:
+                # from three values up, einsum's per-row summation order
+                # follows the memory layout, so score a row-major copy as the
+                # (n, q) row-major counts always were; a two-term sum rounds
+                # the same in either order
+                counts = np.ascontiguousarray(counts)
+            self.scores[cid, :m] = -hellinger2_rows(counts, p_c)
             self.scored_at[cid] = size
-        return self.scores[cid]
+        return self.scores[cid, :m]
+
+    def _remove(self, v: int) -> None:
+        """Swap-remove v from the pool."""
+        i, last = self.slot[v], self.m - 1
+        if i != last:
+            u = self.ids[last]
+            self.ids[i] = u
+            self.slot[u] = i
+            c = self.clustering.num_clusters
+            self.inter[:c, :, i] = self.inter[:c, :, last]
+            self.scores[:c, i] = self.scores[:c, last]
+            self.best[i] = self.best[last]
+            self.best_score[i] = self.best_score[last]
+        self.m = last
+
+    def _count(self, v: int, cid: int) -> None:
+        """Add the pairs (pool vertex, v) to the pool's counts toward cid."""
+        m = self.m
+        cells = self.inter[cid].reshape(-1)  # value a, slot i at a * n + i
+        vals = self.dense[v, self.ids[:m]].astype(np.int64)
+        cells[vals * self.n + np.arange(m)] += 1.0
+
+    def _promote(self, cid: int) -> None:
+        """Move a cluster that just grew forward to its place in the order."""
+        order, pos, size = self.order, self.pos, self.clustering.size
+        key = (-size(cid), cid)
+        i = int(pos[cid])
+        while i > 0 and (-size(order[i - 1]), order[i - 1]) > key:
+            order[i] = order[i - 1]
+            pos[order[i]] = i
+            i -= 1
+        order[i] = cid
+        pos[cid] = i
+
+    def _rerank(self, cid: int) -> None:
+        """Restore the best-cluster cache after cluster cid grew."""
+        col = self.fresh_scores(cid)
+        m = self.m
+        best, best_score = self.best[:m], self.best_score[:m]
+        stale = np.flatnonzero(best == cid)
+        # rows that never had a rankable cluster hold -inf, so cid wins there
+        wins = col > best_score
+        ties = np.flatnonzero(col == best_score)
+        if ties.size:
+            wins[ties] = self.pos[cid] < self.pos[best[ties]]
+        np.putmask(best, wins, cid)
+        np.maximum(best_score, col, out=best_score)  # a tie keeps the same value
+        if stale.size:
+            ranked = np.array(self.rankable())
+            sub = self.scores[:, stale][ranked]
+            t = np.argmax(sub, axis=0)  # first max: larger cluster wins ties
+            best[stale] = ranked[t]
+            best_score[stale] = sub[t, np.arange(stale.size)]
 
 
 def run_lv(
@@ -116,48 +214,73 @@ def run_lv(
 
     Each round finds the smallest index j (in nonincreasing size order) such
     that some unclustered vertex has its best membership at cluster j, and
-    queries that vertex against j; on a miss it works through dyadic size
-    groups of the larger clusters (best-membership pick per group) and then
-    exhausts the remaining clusters. ``trace``, when given, collects
+    queries the lowest such vertex id against j; on a miss it works through
+    dyadic size groups of the larger clusters (best-membership pick per
+    group) and then exhausts the remaining clusters. Best memberships come
+    from the cache :class:`LvState` keeps: after each placement only the pool
+    rows of the one cluster that grew are rescored, and a full argmax runs
+    only for the vertices whose cached best was that cluster; ties go to the
+    earlier cluster in size order. ``trace``, when given, collects
     per-placement tuples (v, queries_used, recovered_true_cluster_size).
-    ``paranoid`` revalidates every cached score against a scratch
-    recomputation (tests only).
+    ``paranoid`` checks the whole cache against a from-scratch
+    :func:`membership_scores` on every round (tests only).
     """
     t0 = time.perf_counter()
-    n = instance.n
     oracle = Oracle(instance.labels, log=query_log)
     lv = LvState(instance)
-    clustering = lv.clustering
     # recovered-size accounting per true cluster, for trace consumers
     recovered = np.zeros(instance.k, dtype=np.int64)
 
-    while clustering.num_unclustered > 0:
-        pool = clustering.unclustered()
-        order = lv.order()
-        rankable = [c for c in order if clustering.size(c) >= 2]
-
-        if not rankable:
-            v = int(pool[0])
+    while lv.m > 0:
+        pool = lv.ids[: lv.m]
+        order = list(lv.order)
+        if paranoid:
+            _check_cache(lv, instance)
+        if lv.num_rankable == 0:
+            v = int(pool.min())
             used = _resolve_by_sweep(v, order, oracle, lv)
         else:
-            cols = [lv.fresh_scores(c) for c in rankable]
-            if paranoid:
-                for c, col in zip(rankable, cols):
-                    ref = membership_scores(pool, clustering.members[c], instance.side)
-                    assert np.allclose(col[pool], ref, atol=1e-12)
-            score_rows = np.stack(cols, axis=1)[pool]
-            best = np.argmax(score_rows, axis=1)  # first max: larger cluster wins ties
-            j = int(best.min())
-            v = int(pool[np.flatnonzero(best == j)[0]])  # lowest id achieving j
-            used = _resolve_ranked(
-                v, j, order, rankable, score_rows[np.flatnonzero(best == j)[0]], oracle, lv
-            )
+            # smallest order index j among the cached bests, then the
+            # lowest vertex id achieving it
+            j, v = divmod(int((lv.pos[lv.best[: lv.m]] * lv.n + pool).min()), lv.n)
+            rankable = lv.rankable()
+            v_scores = lv.scores[rankable, lv.slot[v]]
+            used = _resolve_ranked(v, j, order, rankable, v_scores, oracle, lv)
         if trace is not None:
             trace.append((v, used, int(recovered[instance.labels[v]])))
         recovered[instance.labels[v]] += 1
 
     report = _exact_report("lv", instance, seed, oracle, lv.clustering, t0, {})
     return lv.clustering, report
+
+
+def _check_cache(lv: LvState, instance: Instance) -> None:
+    """Raise AssertionError unless the pool and every cached score and best
+    cluster match a from-scratch recomputation."""
+    clustering = lv.clustering
+    pool = lv.ids[: lv.m]
+    if not (
+        np.array_equal(np.sort(pool), clustering.unclustered())
+        and np.array_equal(lv.slot[pool], np.arange(lv.m))
+    ):
+        raise AssertionError("LV pool slots disagree with the clustering")
+    expected = sorted(range(clustering.num_clusters), key=lambda c: (-clustering.size(c), c))
+    if lv.order != expected or lv.rankable() != [c for c in expected if clustering.size(c) >= 2]:
+        raise AssertionError("LV cluster order is stale")
+    ranked = lv.rankable()
+    if not ranked:
+        return
+    cached = lv.scores[ranked, : lv.m]
+    for c, col in zip(ranked, cached):
+        ref = membership_scores(pool, clustering.members[c], instance.side)
+        if not np.allclose(col, ref, atol=1e-12):
+            raise AssertionError(f"LV cached scores of cluster {c} are stale")
+    t = np.argmax(cached, axis=0)
+    if not (
+        np.array_equal(np.array(ranked)[t], lv.best[: lv.m])
+        and np.array_equal(cached[t, np.arange(lv.m)], lv.best_score[: lv.m])
+    ):
+        raise AssertionError("LV cached best clusters are stale")
 
 
 def _resolve_ranked(

@@ -59,14 +59,13 @@ class _Pool:
 
 
 class McState:
-    """Mutable run state: the partial clustering, current estimates, the
-    waiting lists, and the set of clusters already processed in phase 3."""
+    """Mutable run state: the partial clustering, current estimates, and the
+    set of clusters already processed in phase 3."""
 
     def __init__(self, instance: Instance, rng: np.random.Generator):
         self.clustering = ClusteringState(instance.n)
         self.phase = "init"
         self.estimates: Optional[Estimates] = None
-        self.waiting: dict[int, list[int]] = {}
         self.grown_done: set[int] = set()
         self.rng = rng
         self.pool = _Pool(range(instance.n))
@@ -77,7 +76,9 @@ class McState:
         self.inter_counts = np.zeros(instance.q, dtype=np.int64)
         self.n_intra = 0
         self.n_inter = 0
-        self.clustered: list[int] = []
+        # every clustered vertex in placement order: the live prefix [:n_clustered]
+        self.clustered = np.empty(instance.n, dtype=np.int64)
+        self.n_clustered = 0
         # bookkeeping for reports and invariants
         self.placement = ["?"] * instance.n
         self.q_phase = {"phase1": 0, "phase2": 0, "phase3": 0}
@@ -88,29 +89,29 @@ class McState:
     def join(self, v: int, cid: int, how: str) -> None:
         members = self.clustering.members[cid]
         row = self.dense[v]
-        cnt_c = np.bincount(row[members].astype(np.int64), minlength=self.q)
-        cnt_all = np.bincount(
-            row[self.clustered].astype(np.int64), minlength=self.q
-        )
+        cnt_c = np.bincount(row[members], minlength=self.q)
+        cnt_all = np.bincount(row[self.clustered[: self.n_clustered]], minlength=self.q)
         self.intra_counts += cnt_c
         self.inter_counts += cnt_all - cnt_c
         self.n_intra += len(members)
-        self.n_inter += len(self.clustered) - len(members)
+        self.n_inter += self.n_clustered - len(members)
         self.clustering.add(v, cid)
-        self.clustered.append(v)
-        self.placement[v] = how
+        self._mark_clustered(v, how)
 
     def open_singleton(self, v: int, how: str) -> int:
-        cnt_all = np.bincount(
-            self.dense[v, self.clustered].astype(np.int64), minlength=self.q
+        self.inter_counts += np.bincount(
+            self.dense[v, self.clustered[: self.n_clustered]], minlength=self.q
         )
-        self.inter_counts += cnt_all
-        self.n_inter += len(self.clustered)
+        self.n_inter += self.n_clustered
         cid = self.clustering.new_cluster(v)
-        self.clustered.append(v)
-        self.placement[v] = how
+        self._mark_clustered(v, how)
         self.max_clusters_seen = max(self.max_clusters_seen, self.clustering.num_clusters)
         return cid
+
+    def _mark_clustered(self, v: int, how: str) -> None:
+        self.clustered[self.n_clustered] = v
+        self.n_clustered += 1
+        self.placement[v] = how
 
     def refresh_estimates(self, instance: Instance, consts: Constants) -> Estimates:
         support = instance.side.support
@@ -265,12 +266,10 @@ def phase3_process(
     for v in include.tolist():
         state.pool.remove(v)
         state.join(v, cid, "side")
-    wait_list = waiting.tolist()
-    state.waiting[cid] = wait_list
-    for v in wait_list:
+    for v in waiting.tolist():
         state.pool.remove(v)
         _place_by_query(state, v, oracle, first=cid)
-    state.waiting_total += len(wait_list)
+    state.waiting_total += len(waiting)
     state.grown_done.add(cid)
     state.q_phase["phase3"] += oracle.count - before
     state.phase = "iterate"

@@ -69,6 +69,17 @@ def test_gen_with_explicit_sizes_and_skew(tmp_path, capsys):
     assert code == 0 and json.loads(out)["k"] == 3
 
 
+@pytest.mark.parametrize("fplus", ["0:nan,1:nan", "0:0.5,inf:0.5"])
+def test_gen_non_finite_distribution_exits_two(tmp_path, capsys, fplus):
+    code = main(
+        ["gen", "--n", "10", "--k", "2", "--fplus", fplus,
+         "--fminus", "0:0.9,1:0.1", "--out", str(tmp_path / "x.oclb")]
+    )
+    assert code == 2
+    assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "x.oclb").exists()
+
+
 def test_bounds_forms(capsys):
     code, out = run_cli(
         capsys,

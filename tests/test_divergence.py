@@ -39,6 +39,22 @@ class TestSupportAndDistribution:
         with pytest.raises(ValueError):
             Distribution(s, (-0.1, 1.1))
 
+    def test_support_values_must_be_finite(self):
+        for bad in ((0.0, math.inf), (-math.inf, 0.0), (0.0, math.nan)):
+            with pytest.raises(ValueError, match="finite"):
+                Support(bad)
+
+    def test_probs_must_be_finite(self):
+        s = Support((0.0, 1.0))
+        for bad in ((math.nan, math.nan), (math.nan, 1.0), (math.inf, 0.0), (0.5, -math.inf)):
+            with pytest.raises(ValueError, match="finite"):
+                Distribution(s, bad)
+
+    def test_text_rejects_non_finite(self):
+        for text in ("0:nan,1:nan", "0:0.5,1:nan", "0:inf,1:0", "0:0.5,inf:0.5", "nan:0.5,1:0.5"):
+            with pytest.raises(ValueError, match="finite"):
+                from_text(text)
+
     def test_distribution_is_immutable(self):
         d = bernoulli(0.3)
         with pytest.raises(AttributeError):

@@ -42,6 +42,18 @@ class TestConstants:
         with pytest.raises(ValueError):
             Constants(scale=0.0)
 
+    def test_non_finite_rejected(self):
+        for kwargs in (
+            {"c": math.nan},
+            {"c": math.inf, "c_prime": math.inf},
+            {"c": math.inf},
+            {"c_prime": math.nan},
+            {"scale": math.inf},
+            {"scale": math.nan},
+        ):
+            with pytest.raises(ValueError, match="finite"):
+                Constants(**kwargs)
+
     def test_scale_only_touches_size_thresholds(self):
         a, b = Constants(), Constants(scale=0.01)
         assert a.b == b.b

@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -119,6 +122,14 @@ class TestGenerate:
             for v in range(u + 1, inst.n):
                 assert dense[u, v] == dense[v, u] == inst.side.value_index(u, v)
 
+    def test_dense_matches_triangle_across_tiles(self):
+        # dense() mirrors W tile by tile; n = 600 spans several tiles and a
+        # ragged last one
+        inst = generate(600, Balanced(3), bernoulli(0.6), bernoulli(0.4), seed=5)
+        dense = inst.side.dense()
+        assert np.array_equal(dense[np.triu_indices(600, k=1)], inst.side.tri)
+        assert np.array_equal(dense, dense.T) and not dense.diagonal().any()
+
 
 class TestPersistence:
     def test_round_trip(self, tmp_path):
@@ -156,6 +167,27 @@ class TestPersistence:
         (tmp_path / "fat.oclb").write_bytes(path.read_bytes() + b"xx")
         with pytest.raises(InstanceFormatError, match="trailing"):
             load(tmp_path / "fat.oclb")
+
+    @staticmethod
+    def _with_header(tmp_path, **fields):
+        """A valid container whose JSON header has some fields replaced."""
+        inst = generate(30, Balanced(3), bernoulli(0.9), bernoulli(0.1), seed=4)
+        blob = save(inst, tmp_path / "inst.oclb", sidecar=False).read_bytes()
+        (hlen,) = struct.unpack("<I", blob[5:9])
+        header = {**json.loads(blob[9 : 9 + hlen]), **fields}
+        raw = json.dumps(header).encode()
+        path = tmp_path / "edited.oclb"
+        path.write_bytes(blob[:5] + struct.pack("<I", len(raw)) + raw + blob[9 + hlen :])
+        return path
+
+    def test_negative_n_is_format_error(self, tmp_path):
+        with pytest.raises(InstanceFormatError, match="negative"):
+            load(self._with_header(tmp_path, n=-1))
+
+    @pytest.mark.parametrize("dtype", ["|i1", "<f8"])
+    def test_non_unsigned_w_dtype_is_format_error(self, tmp_path, dtype):
+        with pytest.raises(InstanceFormatError, match="unsigned"):
+            load(self._with_header(tmp_path, w_dtype=dtype))
 
     def test_load_reverifies_invariants(self, tmp_path):
         inst = generate(100, Balanced(4), bernoulli(0.8), bernoulli(0.2), seed=1)

@@ -146,6 +146,19 @@ def test_lv_trace_pinned(name):
     assert got == {key: LV_DIGESTS[key] for key in got}
 
 
+@pytest.mark.parametrize(
+    "name",
+    ["bal3-strong-n60", "bal5-useless-n150", "explicit-strong-n200",
+     "singletons-strong-n120", "skew6-weak3-n300", "explicit-weak3-n400"],
+)
+def test_lv_paranoid_cache_keeps_pinned_trace(name):
+    # paranoid mode checks every cached score and best cluster against a
+    # from-scratch recomputation on every round
+    trace: list = []
+    run_lv(_instance(name), 0, trace=trace, paranoid=True)
+    assert _digest(trace) == LV_DIGESTS[f"{name}/+0"]
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_mc_outcome_pinned(name):
     got = {f"{name}/{s}": mc_digest(name, s) for s in RUN_SEEDS}
