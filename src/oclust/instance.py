@@ -259,6 +259,14 @@ class Instance:
         )
 
 
+# Pairs drawn per step of generate. Its float64 and int64 temporaries stay
+# under 4 MiB, the size from which numpy asks the kernel for transparent huge
+# pages: larger ones, freed back into the heap, keep a resident set that
+# depends on where the heap is mapped, so peak memory would vary from one
+# process to the next.
+_GENERATE_CHUNK = 1 << 16
+
+
 def generate(
     n: int,
     spec: ClusterSpec,
@@ -280,14 +288,21 @@ def generate(
 
     q = f_plus.q
     npairs = n * (n - 1) // 2
-    u = pair_uniforms(seed, 0, npairs)
-    idx_plus = np.minimum(np.searchsorted(f_plus.cdf, u, side="right"), q - 1)
-    idx_minus = np.minimum(np.searchsorted(f_minus.cdf, u, side="right"), q - 1)
-    if npairs:
-        same = np.concatenate([labels[i + 1 :] == labels[i] for i in range(n - 1)])
-        tri = np.where(same, idx_plus, idx_minus).astype(_dtype_for_q(q))
-    else:
-        tri = np.zeros(0, dtype=_dtype_for_q(q))
+    tri = np.empty(npairs, dtype=_dtype_for_q(q))
+    starts = _row_starts(n)  # starts[n - 1] == npairs
+    r0 = 0
+    while r0 < n - 1:
+        # whole rows r0..r1-1, about _GENERATE_CHUNK pairs and at least one row
+        lo = int(starts[r0])
+        r1 = int(np.searchsorted(starts, lo + _GENERATE_CHUNK, side="right")) - 1
+        r1 = min(max(r1, r0 + 1), n - 1)
+        hi = int(starts[r1])
+        u = pair_uniforms(seed, lo, hi)
+        idx_plus = np.minimum(np.searchsorted(f_plus.cdf, u, side="right"), q - 1)
+        idx_minus = np.minimum(np.searchsorted(f_minus.cdf, u, side="right"), q - 1)
+        same = np.concatenate([labels[i + 1 :] == labels[i] for i in range(r0, r1)])
+        tri[lo:hi] = np.where(same, idx_plus, idx_minus)
+        r0 = r1
     return Instance(labels, SideInfo(n, f_plus.support, tri), f_plus, f_minus, seed)
 
 

@@ -85,6 +85,23 @@ class TestGenerate:
         for lo, hi in [(0, 10), (3, 17), (999, 1001), (4096, 4200), (4999, 5000)]:
             assert np.array_equal(pair_uniforms(31337, lo, hi), full[lo:hi])
 
+    @pytest.mark.parametrize("chunk", [1, 37, 1 << 30])
+    def test_output_independent_of_generation_step(self, monkeypatch, chunk):
+        # one row per step, steps ending mid-cluster, and one step in all
+        from oclust import instance as instance_mod
+        from oclust.divergence import from_text
+
+        fp, fm = from_text("0:0.2,1:0.3,2:0.5"), from_text("0:0.5,1:0.3,2:0.2")
+        spec = ExplicitSizes((30, 9, 1, 20))
+        want = generate(60, spec, fp, fm, seed=5)
+        labels = want.labels
+        same = np.concatenate([labels[i + 1 :] == labels[i] for i in range(59)])
+        u = pair_uniforms(5, 0, 60 * 59 // 2)
+        idx = np.where(same, np.searchsorted(fp.cdf, u, "right"), np.searchsorted(fm.cdf, u, "right"))
+        assert np.array_equal(want.side.tri, np.minimum(idx, 2))
+        monkeypatch.setattr(instance_mod, "_GENERATE_CHUNK", chunk)
+        assert generate(60, spec, fp, fm, seed=5) == want
+
     def test_support_mismatch_rejected(self):
         from oclust.divergence import Distribution, Support
 
