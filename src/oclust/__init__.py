@@ -9,7 +9,7 @@ from .bounds import (
     lb_error_prob,
     lb_query_budget,
 )
-from .clustering import ClusteringState, misassigned_count, partition_equal
+from .clustering import ClusteringState, InvariantError, misassigned_count, partition_equal
 from .divergence import (
     Distribution,
     Support,
@@ -55,6 +55,7 @@ __all__ = [
     "ExplicitSizes",
     "Instance",
     "InstanceFormatError",
+    "InvariantError",
     "LowerBoundInputs",
     "Oracle",
     "RunReport",

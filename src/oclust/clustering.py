@@ -6,6 +6,11 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 
+class InvariantError(RuntimeError):
+    """A solver broke one of its guarantees. Raised by explicit checks, so
+    it still fires under ``python -O``."""
+
+
 class ClusteringState:
     """Disjoint clusters of element ids plus the unclustered pool.
 

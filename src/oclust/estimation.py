@@ -13,7 +13,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .divergence import Distribution, hellinger, hellinger2
+from .divergence import Distribution, Support, hellinger, hellinger2
 from .instance import SideInfo
 
 
@@ -153,8 +153,20 @@ def pooled_estimates(
         total = _value_counts(sub[iu], q).astype(np.int64)
     inter = total - intra
     n_inter = everyone.size * (everyone.size - 1) // 2 - n_intra
+    return estimates_from_counts(intra, inter, n_intra, n_inter, side.support, consts, n)
 
-    support = side.support
+
+def estimates_from_counts(
+    intra: np.ndarray,
+    inter: np.ndarray,
+    n_intra: int,
+    n_inter: int,
+    support: Support,
+    consts: Constants,
+    n: int,
+) -> Estimates:
+    """Estimates from pooled pair-value counts: ``intra`` over ``n_intra``
+    within-cluster pairs, ``inter`` over ``n_inter`` cross-cluster pairs."""
     p_plus = Distribution(support, intra / n_intra) if n_intra > 0 else None
     p_minus = Distribution(support, inter / n_inter) if n_inter > 0 else None
     h = hellinger(p_plus, p_minus) if (p_plus and p_minus) else None

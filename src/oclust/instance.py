@@ -208,7 +208,10 @@ class Instance:
         if side.support != f_plus.support:
             raise ValueError("side_info support disagrees with distributions")
         k = int(labels.max(initial=-1)) + 1
-        if n and (labels.min() < 0 or np.bincount(labels, minlength=k).min() == 0):
+        # k <= n first, so a corrupt label cannot make bincount allocate
+        if n and (
+            labels.min() < 0 or k > n or np.bincount(labels, minlength=k).min() == 0
+        ):
             raise ValueError("truth labels must use every cluster id 0..k-1")
         labels.setflags(write=False)
         self.n = n
@@ -283,6 +286,8 @@ def generate(
         raise ValueError("support mismatch")
     if n < 1:
         raise ValueError("n must be positive")
+    if not 0 <= seed < 1 << 63:
+        raise ValueError("seed must lie in [0, 2**63), the range the fingerprint and load accept")
     sizes = cluster_sizes(spec, n)
     labels = np.repeat(np.arange(len(sizes), dtype=np.int32), sizes)
 
@@ -367,19 +372,30 @@ def load(path: str | Path) -> Instance:
     if len(data) < 9 + hlen:
         raise InstanceFormatError("truncated header", len(data))
     try:
-        header = json.loads(data[9 : 9 + hlen])
-    except json.JSONDecodeError as exc:
+        header = json.loads(data[9 : 9 + hlen].decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # bad UTF-8, bad JSON, deep nesting
         raise InstanceFormatError(f"header is not valid JSON: {exc}", 9) from exc
-    try:
-        n = int(header["n"])
-        seed = int(header["seed"])
-        f_plus = from_text(header["f_plus"])
-        f_minus = from_text(header["f_minus"])
-        w_dtype = np.dtype(header["w_dtype"])
-    except (KeyError, ValueError, TypeError) as exc:
-        raise InstanceFormatError(f"bad header field: {exc}", 9) from exc
+    if not isinstance(header, dict):
+        raise InstanceFormatError("header is not a JSON object", 9)
+    if _header_field(header, int, "version") != 1:
+        raise InstanceFormatError(f"unsupported version {header['version']!r}", 9)
+    n = _header_field(header, int, "n")
     if n < 0:
         raise InstanceFormatError(f"bad header field: n={n} is negative", 9)
+    seed = _header_field(header, int, "seed")
+    if not 0 <= seed < 1 << 63:
+        raise InstanceFormatError(f"bad header field: seed={seed} is outside [0, 2**63)", 9)
+    f_plus_text = _header_field(header, str, "f_plus")
+    f_minus_text = _header_field(header, str, "f_minus")
+    dtype_text = _header_field(header, str, "w_dtype")
+    try:
+        f_plus = from_text(f_plus_text)
+        f_minus = from_text(f_minus_text)
+        w_dtype = np.dtype(dtype_text)
+    except (ValueError, TypeError) as exc:
+        raise InstanceFormatError(f"bad header field: {exc}", 9) from exc
+    if _header_field(header, int, "q") != f_plus.q:
+        raise InstanceFormatError("header q disagrees with f_plus", 9)
     if w_dtype.kind != "u":
         raise InstanceFormatError(
             f"bad header field: w_dtype {w_dtype.str!r} is not an unsigned integer", 9
@@ -404,6 +420,16 @@ def load(path: str | Path) -> Instance:
         inst = Instance(labels, SideInfo(n, f_plus.support, tri), f_plus, f_minus, seed)
     except ValueError as exc:
         raise InstanceFormatError(f"invariant violation: {exc}", off) from exc
-    if inst.k != int(header.get("k", inst.k)):
+    if _header_field(header, int, "k") != inst.k:
         raise InstanceFormatError("header k disagrees with labels", 9)
     return inst
+
+
+def _header_field(header: dict, kind: type, key: str):
+    """``header[key]``, which must be of type ``kind`` (an int is not a bool)."""
+    value = header.get(key)
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise InstanceFormatError(
+            f"bad header field: {key}={value!r:.40} is not {kind.__name__}", 9
+        )
+    return value

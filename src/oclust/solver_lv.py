@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .clustering import ClusteringState, misassigned_count, partition_equal
+from .clustering import ClusteringState, InvariantError, misassigned_count, partition_equal
 from .estimation import hellinger2_rows, membership_scores
 from .instance import Instance
 from .oracle import Oracle, QueryLogger
@@ -35,6 +35,7 @@ def run_baseline(
     oracle = Oracle(instance.labels, log=query_log)
     state = ClusteringState(n)
     rng = np.random.default_rng(seed)
+    kmax = max(instance.k, 1)
     for v in rng.permutation(n):
         v = int(v)
         before = oracle.count
@@ -46,7 +47,8 @@ def run_baseline(
                 break
         if not placed:
             state.new_cluster(v)
-        assert oracle.count - before <= max(instance.k, 1)
+        if oracle.count - before > kmax:
+            raise InvariantError(f"baseline used more than k = {kmax} queries on vertex {v}")
     return state, _exact_report(
         "baseline", instance, seed, oracle, state, t0, {}
     )
@@ -255,7 +257,7 @@ def run_lv(
 
 
 def _check_cache(lv: LvState, instance: Instance) -> None:
-    """Raise AssertionError unless the pool and every cached score and best
+    """Raise InvariantError unless the pool and every cached score and best
     cluster match a from-scratch recomputation."""
     clustering = lv.clustering
     pool = lv.ids[: lv.m]
@@ -263,10 +265,10 @@ def _check_cache(lv: LvState, instance: Instance) -> None:
         np.array_equal(np.sort(pool), clustering.unclustered())
         and np.array_equal(lv.slot[pool], np.arange(lv.m))
     ):
-        raise AssertionError("LV pool slots disagree with the clustering")
+        raise InvariantError("LV pool slots disagree with the clustering")
     expected = sorted(range(clustering.num_clusters), key=lambda c: (-clustering.size(c), c))
     if lv.order != expected or lv.rankable() != [c for c in expected if clustering.size(c) >= 2]:
-        raise AssertionError("LV cluster order is stale")
+        raise InvariantError("LV cluster order is stale")
     ranked = lv.rankable()
     if not ranked:
         return
@@ -274,13 +276,13 @@ def _check_cache(lv: LvState, instance: Instance) -> None:
     for c, col in zip(ranked, cached):
         ref = membership_scores(pool, clustering.members[c], instance.side)
         if not np.allclose(col, ref, atol=1e-12):
-            raise AssertionError(f"LV cached scores of cluster {c} are stale")
+            raise InvariantError(f"LV cached scores of cluster {c} are stale")
     t = np.argmax(cached, axis=0)
     if not (
         np.array_equal(np.array(ranked)[t], lv.best[: lv.m])
         and np.array_equal(cached[t, np.arange(lv.m)], lv.best_score[: lv.m])
     ):
-        raise AssertionError("LV cached best clusters are stale")
+        raise InvariantError("LV cached best clusters are stale")
 
 
 def _resolve_ranked(
@@ -355,8 +357,10 @@ def _exact_report(
 ) -> RunReport:
     blocks = state.blocks()
     exact = partition_equal(blocks, instance.labels)
-    assert exact, f"{algo} must recover the exact partition"
-    assert oracle.count <= instance.n * max(instance.k, 1)
+    if not exact:
+        raise InvariantError(f"{algo} must recover the exact partition")
+    if oracle.count > instance.n * max(instance.k, 1):
+        raise InvariantError(f"{algo} used {oracle.count} queries, more than n * k")
     mis = misassigned_count(blocks, instance.labels)
     return RunReport(
         algo=algo,

@@ -17,14 +17,19 @@ from typing import Optional
 
 import numpy as np
 
-from .clustering import ClusteringState, misassigned_count, partition_equal
-from .divergence import Distribution, hellinger
-from .estimation import Constants, Estimates, membership_scores, threshold_from_h
+from .clustering import ClusteringState, InvariantError, misassigned_count, partition_equal
+from .estimation import Constants, Estimates, estimates_from_counts, membership_scores
 from .instance import Instance
 from .oracle import Oracle, QueryLogger
 from .report import RunReport
 
 BAND_MODES = ("lemma", "text")
+
+# Cells of W read per step of McState.join_batch: the step's rows of the
+# dense matrix, and every gather and compare made from them, stay under the
+# 4 MiB from which numpy asks for transparent huge pages (see
+# instance._GENERATE_CHUNK), so peak memory does not depend on the batch.
+_JOIN_CELLS = 1 << 20
 
 
 class _Pool:
@@ -60,7 +65,19 @@ class _Pool:
 
 class McState:
     """Mutable run state: the partial clustering, current estimates, and the
-    set of clusters already processed in phase 3."""
+    set of clusters already processed in phase 3.
+
+    ``intra_counts`` and ``inter_counts`` count the side-information values
+    of every within-cluster and every cross-cluster pair of clustered
+    vertices, over ``n_intra`` and ``n_inter`` pairs. :meth:`join` and
+    :meth:`open_singleton` add one vertex's pairs with the vertices
+    clustered before it. :meth:`join_batch` adds a whole phase-3 inclusion
+    set to one cluster with the same integer counts, a block of whole rows
+    of W at a time: each block is counted against the cluster's members and
+    against the other clusters' members, plus the pairs inside the block;
+    values a >= 1 are counted by comparison and value 0 is the rest of the
+    pair total.
+    """
 
     def __init__(self, instance: Instance, rng: np.random.Generator):
         self.clustering = ClusteringState(instance.n)
@@ -98,6 +115,42 @@ class McState:
         self.clustering.add(v, cid)
         self._mark_clustered(v, how)
 
+    def join_batch(self, vs: np.ndarray, cid: int, how: str) -> None:
+        """Join ``vs`` to cluster ``cid`` in order; the counts equal those of
+        one :meth:`join` per vertex."""
+        clustering = self.clustering
+        prefix = self.clustered[: self.n_clustered]
+        # the batch only grows cid, so the other clusters' members stay fixed
+        others = prefix[clustering.label_of[prefix] != cid]
+        step = max(1, _JOIN_CELLS // self.dense.shape[1])
+        for lo in range(0, len(vs), step):
+            chunk = vs[lo : lo + step]
+            r = len(chunk)
+            rows = self.dense[chunk]
+            members = np.asarray(clustering.members[cid], dtype=np.int64)
+            # the chunk's own square is symmetric with a zero diagonal, so
+            # each pair inside the chunk shows up twice among values a >= 1
+            intra = self._nonzero_counts(rows[:, members])
+            intra += self._nonzero_counts(rows[:, chunk]) // 2
+            pairs = r * len(members) + r * (r - 1) // 2
+            intra[0] = pairs - intra.sum()
+            self.intra_counts += intra
+            self.n_intra += pairs
+            inter = self._nonzero_counts(rows[:, others])
+            inter[0] = r * len(others) - inter.sum()
+            self.inter_counts += inter
+            self.n_inter += r * len(others)
+            for v in chunk.tolist():
+                clustering.add(v, cid)
+                self._mark_clustered(v, how)
+
+    def _nonzero_counts(self, block: np.ndarray) -> np.ndarray:
+        """Counts of each value a >= 1 in ``block``; entry 0 is left 0."""
+        out = np.zeros(self.q, dtype=np.int64)
+        for a in range(1, self.q):
+            out[a] = np.count_nonzero(block == a)
+        return out
+
     def open_singleton(self, v: int, how: str) -> int:
         self.inter_counts += np.bincount(
             self.dense[v, self.clustered[: self.n_clustered]], minlength=self.q
@@ -114,25 +167,14 @@ class McState:
         self.placement[v] = how
 
     def refresh_estimates(self, instance: Instance, consts: Constants) -> Estimates:
-        support = instance.side.support
-        p_plus = (
-            Distribution(support, self.intra_counts / self.n_intra)
-            if self.n_intra > 0
-            else None
-        )
-        p_minus = (
-            Distribution(support, self.inter_counts / self.n_inter)
-            if self.n_inter > 0
-            else None
-        )
-        h = hellinger(p_plus, p_minus) if (p_plus and p_minus) else None
-        self.estimates = Estimates(
-            p_plus=p_plus,
-            p_minus=p_minus,
-            h=h,
-            m_threshold=threshold_from_h(h, consts, instance.n),
-            n_intra_pairs=self.n_intra,
-            n_inter_pairs=self.n_inter,
+        self.estimates = estimates_from_counts(
+            self.intra_counts,
+            self.inter_counts,
+            self.n_intra,
+            self.n_inter,
+            instance.side.support,
+            consts,
+            instance.n,
         )
         return self.estimates
 
@@ -265,7 +307,7 @@ def phase3_process(
 
     for v in include.tolist():
         state.pool.remove(v)
-        state.join(v, cid, "side")
+    state.join_batch(include, cid, "side")
     for v in waiting.tolist():
         state.pool.remove(v)
         _place_by_query(state, v, oracle, first=cid)
@@ -302,19 +344,21 @@ def run_mc(
         if guard > 2 * n + 4:
             raise RuntimeError("phase loop failed to terminate")
 
-    assert state.clustering.num_unclustered == 0
+    if state.clustering.num_unclustered != 0:
+        raise InvariantError("MC finished with unclustered vertices")
     queries = oracle.count
-    assert queries == sum(state.q_phase.values())
+    if queries != sum(state.q_phase.values()):
+        raise InvariantError(f"MC phase queries {state.q_phase} do not sum to {queries}")
     kmax = max(state.max_clusters_seen, 1)
-    # monotone degradation: never worse than querying everything, plus the
-    # waiting lists' slack
-    assert queries <= n * kmax
-    assert queries <= n * kmax + kmax * state.waiting_total
+    # monotone degradation: never worse than querying everything
+    if queries > n * kmax:
+        raise InvariantError(f"MC used {queries} queries, more than n * k = {n * kmax}")
 
     blocks = state.clustering.blocks()
     mis = misassigned_count(blocks, instance.labels)
     exact = partition_equal(blocks, instance.labels)
-    assert exact == (mis == 0)
+    if exact != (mis == 0):
+        raise InvariantError("MC exactness disagrees with the misassigned count")
     est = state.estimates
     report = RunReport(
         algo="mc",

@@ -1,4 +1,5 @@
 import json
+import struct
 
 import pytest
 
@@ -78,6 +79,26 @@ def test_gen_non_finite_distribution_exits_two(tmp_path, capsys, fplus):
     assert code == 2
     assert "finite" in capsys.readouterr().err
     assert not (tmp_path / "x.oclb").exists()
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("k", "abc"), ("k", [1]), ("k", None), ("f_plus", 5), ("n", 2.7), ("seed", 1.5)],
+)
+def test_run_malformed_instance_header_exits_two(tmp_path, capsys, field, value):
+    path = tmp_path / "demo.oclb"
+    main(
+        ["gen", "--n", "20", "--k", "2", "--fplus", "0:0.1,1:0.9",
+         "--fminus", "0:0.9,1:0.1", "--out", str(path), "--sidecar", "no"]
+    )
+    blob = path.read_bytes()
+    (hlen,) = struct.unpack("<I", blob[5:9])
+    raw = json.dumps({**json.loads(blob[9 : 9 + hlen]), field: value}).encode()
+    path.write_bytes(blob[:5] + struct.pack("<I", len(raw)) + raw + blob[9 + hlen :])
+    capsys.readouterr()
+    code = main(["run", "--algo", "mc", "--instance", str(path)])
+    assert code == 2
+    assert "byte offset 9" in capsys.readouterr().err
 
 
 def test_bounds_forms(capsys):

@@ -3,11 +3,11 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from oclust.divergence import bernoulli
+from oclust.divergence import bernoulli, from_text
 from oclust.instance import (
     Balanced,
     ExplicitSizes,
@@ -101,6 +101,12 @@ class TestGenerate:
         assert np.array_equal(want.side.tri, np.minimum(idx, 2))
         monkeypatch.setattr(instance_mod, "_GENERATE_CHUNK", chunk)
         assert generate(60, spec, fp, fm, seed=5) == want
+
+    @pytest.mark.parametrize("seed", [-1, 1 << 63])
+    def test_seed_outside_fingerprint_range_rejected(self, seed):
+        # the fingerprint packs the seed as a signed 64-bit integer
+        with pytest.raises(ValueError, match="seed"):
+            generate(10, Balanced(2), bernoulli(0.5), bernoulli(0.5), seed=seed)
 
     def test_support_mismatch_rejected(self):
         from oclust.divergence import Distribution, Support
@@ -206,6 +212,56 @@ class TestPersistence:
         with pytest.raises(InstanceFormatError, match="unsigned"):
             load(self._with_header(tmp_path, w_dtype=dtype))
 
+    @pytest.mark.parametrize(
+        "fields, match",
+        [
+            pytest.param(fields, match, id=",".join(f"{k}={v!r}" for k, v in fields.items()))
+            for fields, match in [
+                ({"k": "abc"}, "k='abc' is not int"),
+                ({"k": [1]}, r"k=\[1\] is not int"),
+                ({"k": None}, "k=None is not int"),
+                ({"f_plus": 5}, "f_plus=5 is not str"),
+                ({"n": 2.7}, "n=2.7 is not int"),
+                ({"seed": 1.5}, "seed=1.5 is not int"),
+                ({"n": True}, "n=True is not int"),
+                ({"seed": 1 << 63}, r"outside \[0, 2\*\*63\)"),
+                ({"seed": -1}, r"outside \[0, 2\*\*63\)"),
+                ({"version": 2}, "unsupported version"),
+                ({"q": 3}, "q disagrees"),
+                ({"k": 4}, "k disagrees"),
+                ({"f_minus": "0:1"}, "bad header field"),
+            ]
+        ],
+    )
+    def test_malformed_header_field_is_format_error(self, tmp_path, fields, match):
+        with pytest.raises(InstanceFormatError, match=match) as err:
+            load(self._with_header(tmp_path, **fields))
+        assert err.value.offset == 9
+
+    @pytest.mark.parametrize(
+        "raw",
+        [b'{"n": "\xff"}', b"[1, 2]", b"[" * 100_000],
+        ids=["not-utf8", "not-an-object", "deep-nesting"],
+    )
+    def test_undecodable_header_is_format_error(self, tmp_path, raw):
+        # not UTF-8, not a JSON object, nested past the parser's recursion limit
+        path = tmp_path / "x.oclb"
+        path.write_bytes(b"OCLB1" + struct.pack("<I", len(raw)) + raw)
+        with pytest.raises(InstanceFormatError) as err:
+            load(path)
+        assert err.value.offset == 9
+
+    def test_out_of_range_label_is_rejected_before_counting(self, tmp_path):
+        # a label far above n must not size any allocation
+        inst = generate(30, Balanced(3), bernoulli(0.9), bernoulli(0.1), seed=4)
+        path = save(inst, tmp_path / "inst.oclb", sidecar=False)
+        blob = bytearray(path.read_bytes())
+        (hlen,) = struct.unpack("<I", blob[5:9])
+        blob[9 + hlen : 9 + hlen + 4] = struct.pack("<i", (1 << 31) - 1)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(InstanceFormatError, match="invariant"):
+            load(path)
+
     def test_load_reverifies_invariants(self, tmp_path):
         inst = generate(100, Balanced(4), bernoulli(0.8), bernoulli(0.2), seed=1)
         path = save(inst, tmp_path / "inst.oclb", sidecar=False)
@@ -230,3 +286,82 @@ def test_generated_instance_invariants(n, k, seed):
     sizes = [len(b) for b in inst.truth]
     assert sum(sizes) == n and min(sizes) >= 1
     assert set(inst.labels.tolist()) == set(range(k))
+
+
+# ---------------------------------------------------------------------------
+# fuzzing load: every input either loads a valid instance or raises
+# InstanceFormatError, never anything else
+
+_FUZZ_INSTANCE = generate(
+    12,
+    ExplicitSizes((5, 1, 6)),
+    from_text("0:0.2,1:0.3,2:0.5"),
+    from_text("0:0.5,1:0.3,2:0.2"),
+    seed=3,
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz")
+    save(_FUZZ_INSTANCE, path / "saved.oclb", sidecar=False)
+    return path
+
+
+def _load_or_format_error(fuzz_dir, blob: bytes):
+    """Load ``blob``; an accepted instance must round-trip through save."""
+    path = fuzz_dir / "fuzzed.oclb"
+    path.write_bytes(blob)
+    try:
+        got = load(path)
+    except InstanceFormatError as exc:
+        assert exc.offset >= 0
+        return None
+    again = load(save(got, fuzz_dir / "again.oclb", sidecar=False))
+    assert again == got and again.fingerprint() == got.fingerprint()
+    return got
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=12),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_load_fuzz_truncation(fuzz_dir, data):
+    blob = (fuzz_dir / "saved.oclb").read_bytes()
+    cut = data.draw(st.integers(0, len(blob) - 1))
+    assert _load_or_format_error(fuzz_dir, blob[:cut]) is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_load_fuzz_byte_flip(fuzz_dir, data):
+    blob = bytearray((fuzz_dir / "saved.oclb").read_bytes())
+    at = data.draw(st.integers(0, len(blob) - 1))
+    blob[at] = data.draw(st.integers(0, 255))
+    got = _load_or_format_error(fuzz_dir, bytes(blob))
+    if bytes(blob) == (fuzz_dir / "saved.oclb").read_bytes():
+        assert got == _FUZZ_INSTANCE
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    key=st.sampled_from(["version", "n", "k", "q", "seed", "f_plus", "f_minus", "w_dtype"]),
+    value=_JSON,
+)
+def test_load_fuzz_header_field(fuzz_dir, key, value):
+    blob = (fuzz_dir / "saved.oclb").read_bytes()
+    (hlen,) = struct.unpack("<I", blob[5:9])
+    header = json.loads(blob[9 : 9 + hlen])
+    unchanged = header[key] == value and type(header[key]) is type(value)
+    header[key] = value
+    raw = json.dumps(header).encode()
+    edited = blob[:5] + struct.pack("<I", len(raw)) + raw + blob[9 + hlen :]
+    got = _load_or_format_error(fuzz_dir, edited)
+    if unchanged:
+        assert got == _FUZZ_INSTANCE

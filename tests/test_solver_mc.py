@@ -1,15 +1,23 @@
+import copy
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from statistics import median
 
 import numpy as np
 import pytest
 
+from oclust import solver_mc
 from oclust.clustering import partition_equal
-from oclust.divergence import bernoulli
+from oclust.divergence import bernoulli, from_text
 from oclust.estimation import Constants, pooled_estimates
 from oclust.instance import Balanced, ExplicitSizes, generate
 from oclust.oracle import Oracle
-from oclust.solver_mc import phase1, phase2_loop, phase3_process, run_mc
+from oclust.solver_mc import McState, phase1, phase2_loop, phase3_process, run_mc
+
+WEAK3 = (from_text("0:0.2,1:0.3,2:0.5"), from_text("0:0.5,1:0.3,2:0.2"))
 
 
 def mc_parts(inst, consts, seed):
@@ -187,18 +195,31 @@ class TestRunMc:
                     assert seen.setdefault(lbl, cid) == cid
             assert report.exact
 
-    def test_incremental_counts_match_pure_recompute(self):
-        inst = generate(400, Balanced(4), bernoulli(0.8), bernoulli(0.2), seed=6)
-        consts = Constants(scale=0.03)
-        debug = {}
-        _, report = run_mc(inst, consts, 3, debug=debug)
-        state = debug["state"]
-        pure = pooled_estimates(state.clustering.members, inst.side, consts, inst.n)
-        incr = state.refresh_estimates(inst, consts)
-        assert pure.n_intra_pairs == incr.n_intra_pairs
-        assert pure.n_inter_pairs == incr.n_inter_pairs
-        assert np.allclose(pure.p_plus.probs_array, incr.p_plus.probs_array)
-        assert np.allclose(pure.p_minus.probs_array, incr.p_minus.probs_array)
+    def test_incremental_counts_match_pure_recompute(self, monkeypatch):
+        # at every refresh of a run, the incremental counts give exactly the
+        # estimates of a from-scratch recount over the clusters so far; the
+        # free cases also compare refreshes that follow phase-3 batch joins
+        refresh = McState.refresh_estimates
+        seen = []
+
+        def checked_refresh(state, instance, consts):
+            incr = refresh(state, instance, consts)
+            pure = pooled_estimates(state.clustering.members, instance.side, consts, instance.n)
+            assert incr == pure
+            seen.append(state.n_clustered)
+            return incr
+
+        monkeypatch.setattr(McState, "refresh_estimates", checked_refresh)
+        for fp, fm, scale, free in [
+            (bernoulli(0.8), bernoulli(0.2), 0.03, False),
+            (bernoulli(0.8), bernoulli(0.2), 0.01, True),
+            (*WEAK3, 0.003, True),
+        ]:
+            inst = generate(400, Balanced(4), fp, fm, seed=6)
+            seen.clear()
+            _, report = run_mc(inst, Constants(scale=scale), 3)
+            assert (report.extras["side_placements"] > 0) == free
+            assert len(seen) > 2 and seen[-1] == inst.n
 
     def test_band_modes_both_run(self):
         inst = generate(400, Balanced(4), bernoulli(0.9), bernoulli(0.1), seed=8)
@@ -215,3 +236,129 @@ class TestRunMc:
         assert report.queries == report.q_phase1 + report.q_phase2 + report.q_phase3
         assert report.constants["scale"] == 0.02
         assert report.extras["vertices_phase1"] >= 1
+
+
+def _placed_state(inst, seed, n_placed):
+    """A McState with a random prefix of vertices placed by their truth
+    labels (singletons and joins), and the rest in random order."""
+    order = np.random.default_rng(seed).permutation(inst.n).tolist()
+    state = McState(inst, np.random.default_rng(seed))
+    cid_of = {}
+    for v in order[:n_placed]:
+        label = int(inst.labels[v])
+        if label in cid_of:
+            state.join(v, cid_of[label], "query")
+        else:
+            cid_of[label] = state.open_singleton(v, "seed")
+    return state, np.array(order[n_placed:], dtype=np.int64)
+
+
+class TestJoinBatch:
+    CASES = {
+        "binary": lambda: generate(90, Balanced(3), bernoulli(0.8), bernoulli(0.3), seed=1),
+        "weak3": lambda: generate(90, Balanced(4), *WEAK3, seed=2),
+        "singletons": lambda: generate(
+            90, ExplicitSizes((40, 1, 1, 20, 1, 27)), *WEAK3, seed=3
+        ),
+        "k1": lambda: generate(60, Balanced(1), bernoulli(0.7), bernoulli(0.4), seed=4),
+    }
+
+    @pytest.mark.parametrize("rows", [1, 3, None], ids=["rows1", "rows3", "default"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_sequential_joins(self, monkeypatch, case, rows):
+        inst = self.CASES[case]()
+        if rows is not None:
+            monkeypatch.setattr(solver_mc, "_JOIN_CELLS", rows * inst.n)
+        for n_placed in (1, 25):
+            base, rest = _placed_state(inst, seed=n_placed, n_placed=n_placed)
+            sizes = [base.clustering.size(c) for c in range(base.clustering.num_clusters)]
+            # the largest cluster and the smallest (a singleton when there is one)
+            for cid in {int(np.argmax(sizes)), int(np.argmin(sizes))}:
+                vs = rest[: 2 * len(rest) // 3]
+                seq, batch = copy.deepcopy(base), copy.deepcopy(base)
+                for v in vs.tolist():
+                    seq.join(v, cid, "side")
+                batch.join_batch(vs, cid, "side")
+                assert np.array_equal(batch.intra_counts, seq.intra_counts)
+                assert np.array_equal(batch.inter_counts, seq.inter_counts)
+                assert batch.n_intra == seq.n_intra
+                assert batch.n_inter == seq.n_inter
+                assert batch.n_clustered == seq.n_clustered
+                assert np.array_equal(batch.clustered, seq.clustered)
+                assert batch.clustering.members == seq.clustering.members
+                assert batch.placement == seq.placement
+
+    def test_empty_batch_changes_nothing(self):
+        inst = self.CASES["binary"]()
+        state, _ = _placed_state(inst, seed=0, n_placed=10)
+        before = copy.deepcopy(state)
+        state.join_batch(np.array([], dtype=np.int64), 0, "side")
+        assert np.array_equal(state.intra_counts, before.intra_counts)
+        assert np.array_equal(state.inter_counts, before.inter_counts)
+        assert (state.n_intra, state.n_inter, state.n_clustered) == (
+            before.n_intra,
+            before.n_inter,
+            before.n_clustered,
+        )
+
+
+# Each snippet breaks one guarantee on purpose and must still raise under -O,
+# with a message containing its key.
+_BROKEN = {
+    "do not sum": """
+import oclust.solver_mc as mc
+process = mc.phase3_process
+def leaky(state, *args, **kwargs):
+    state = process(state, *args, **kwargs)
+    state.q_phase["phase3"] += 1
+    return state
+mc.phase3_process = leaky
+mc.run_mc(generate(300, Balanced(3), bernoulli(0.9), bernoulli(0.1), seed=1), Constants(scale=0.03), 0)
+""",
+    "must recover the exact partition": """
+from oclust.clustering import ClusteringState
+from oclust.oracle import Oracle
+from oclust.solver_lv import _exact_report
+inst = generate(20, Balanced(2), bernoulli(0.9), bernoulli(0.1), seed=0)
+state = ClusteringState(inst.n)
+state.new_cluster(0)
+_exact_report("lv", inst, 0, Oracle(inst.labels), state, 0.0, {})
+""",
+    "queries on vertex": """
+import oclust.solver_lv as lv
+class Chatty(lv.Oracle):
+    __slots__ = ()
+    @property
+    def count(self):
+        return 3 * len(self._memo)
+lv.Oracle = Chatty
+lv.run_baseline(generate(30, Balanced(3), bernoulli(0.9), bernoulli(0.1), seed=0), 0)
+""",
+}
+
+
+def test_invariants_survive_optimize_flag():
+    # one interpreter under -O runs every snippet; the leading assert proves
+    # that asserts are really stripped
+    lines = [
+        "assert False, 'asserts are on'",
+        "from oclust import Balanced, Constants, InvariantError, bernoulli, generate",
+    ]
+    for body in _BROKEN.values():
+        lines.append("try:")
+        lines += [f"    {line}" for line in body.strip().splitlines()]
+        lines += ["except InvariantError as exc:", "    print(exc)"]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", "\n".join(lines)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    got = out.stdout.splitlines()
+    assert len(got) == len(_BROKEN)
+    for fragment, message in zip(_BROKEN, got):
+        assert fragment in message
