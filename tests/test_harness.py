@@ -1,3 +1,4 @@
+import hashlib
 import json
 import xml.etree.ElementTree as ET
 from statistics import mean, median
@@ -17,6 +18,11 @@ from oclust.harness import (
 from oclust.report import CSV_COLUMNS, RunReport
 
 BERN_91 = ("0:0.1,1:0.9", "0:0.9,1:0.1")
+WEAK3 = ("0:0.2,1:0.3,2:0.5", "0:0.5,1:0.3,2:0.2")
+
+# sha256 of reports_csv for pinned_config(), recorded before instances were
+# shared across a trial's algorithms and before generate drew W in one pass
+PINNED_SWEEP_SHA256 = "15dcc856f6ba306f59577dee28a343e26d322db343d3524314324a2fee8a9ba2"
 
 
 def small_config(**overrides):
@@ -31,6 +37,21 @@ def small_config(**overrides):
     )
     base.update(overrides)
     return ExperimentConfig.from_dict(base)
+
+
+def pinned_config():
+    return ExperimentConfig.from_dict(
+        dict(
+            ns=[60, 150],
+            ks=[3],
+            dists=[BERN_91, WEAK3],
+            algos=["baseline", "lv", "mc"],
+            trials=2,
+            base_seed=2024,
+            constants={"scale": 0.05},
+            cluster_specs=["balanced", "skewed:4"],
+        )
+    )
 
 
 class TestConfig:
@@ -95,6 +116,14 @@ class TestRunExperiment:
         assert json.dumps([r.to_dict() for r in sequential]) == json.dumps(
             [r.to_dict() for r in parallel]
         )
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_pinned_sweep_csv_digest(self, monkeypatch, threads):
+        monkeypatch.setenv("OCL_THREADS", threads)
+        reports, _ = run_experiment(pinned_config())
+        assert len(reports) == 48
+        digest = hashlib.sha256(reports_csv(reports).encode()).hexdigest()
+        assert digest == PINNED_SWEEP_SHA256
 
     def test_instances_shared_across_algorithms(self):
         cfg = small_config(trials=1)
