@@ -15,10 +15,8 @@ from . import bounds as bounds_mod
 from . import instance as instance_mod
 from .divergence import from_text, hellinger
 from .estimation import Constants
-from .harness import ConfigError, ExperimentConfig, emit, reports_csv, run_experiment
+from .harness import SOLVERS, ConfigError, ExperimentConfig, emit, reports_csv, run_experiment
 from .oracle import csv_query_logger
-from .solver_lv import run_baseline, run_lv
-from .solver_mc import run_mc
 
 
 def main(argv=None) -> int:
@@ -60,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.set_defaults(func=cmd_gen)
 
     p_run = sub.add_parser("run", help="run one solver on a saved instance")
-    p_run.add_argument("--algo", choices=("mc", "lv", "baseline"), required=True)
+    p_run.add_argument("--algo", choices=tuple(SOLVERS), required=True)
     p_run.add_argument("--instance", type=Path, required=True)
     p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument("--scale", type=float, default=1.0)
@@ -127,21 +125,14 @@ def cmd_gen(args) -> int:
 
 def cmd_run(args) -> int:
     inst = instance_mod.load(args.instance)
+    consts = Constants(c=args.c, c_prime=args.cprime, scale=args.scale)
     log_fh = None
     query_log = None
     if args.query_log:
         log_fh = open(args.query_log, "w")
         query_log = csv_query_logger(log_fh)
     try:
-        if args.algo == "baseline":
-            _, report = run_baseline(inst, args.seed, query_log=query_log)
-        elif args.algo == "lv":
-            _, report = run_lv(inst, args.seed, query_log=query_log)
-        else:
-            consts = Constants(c=args.c, c_prime=args.cprime, scale=args.scale)
-            _, report = run_mc(
-                inst, consts, args.seed, band=args.band, query_log=query_log
-            )
+        _, report = SOLVERS[args.algo](inst, args.seed, consts, args.band, query_log=query_log)
     finally:
         if log_fh:
             log_fh.close()

@@ -184,13 +184,30 @@ def estimates_from_counts(
 # vectorized kernels (solvers evaluate many vertices against one snapshot)
 
 
+# Cells of W read per step of inter_counts: the rows read, their gathers and
+# compares stay under the 4 MiB from which numpy asks for transparent huge
+# pages (see instance._GENERATE_CHUNK).
+_GATHER_CELLS = 1 << 20
+
+
 def inter_counts(pool: np.ndarray, members: np.ndarray, side: SideInfo) -> np.ndarray:
     """Per-vertex counts of side-information values toward a member set:
     row v of the result is the unnormalized p_{v,C}. Shape (len(pool), q)."""
-    sub = side.dense()[np.ix_(pool, members)]
-    out = np.empty((pool.shape[0], side.q), dtype=np.float64)
-    for i in range(side.q):
-        out[:, i] = (sub == i).sum(axis=1)
+    dense = side.dense()
+    # W is symmetric, so read whole rows of the smaller set, a step at a
+    # time, and gather the other set's columns from them: contiguous rows
+    # are far cheaper than a cell-by-cell np.ix_ gather
+    by_pool = pool.size < members.size
+    rows, cols = (pool, members) if by_pool else (members, pool)
+    out = np.zeros((pool.size, side.q), dtype=np.float64)
+    step = max(1, _GATHER_CELLS // dense.shape[1])
+    for lo in range(0, rows.size, step):
+        sub = dense[rows[lo : lo + step]][:, cols]
+        dst = out[lo : lo + step] if by_pool else out
+        for i in range(1, side.q):
+            dst[:, i] += np.count_nonzero(sub == i, axis=1 if by_pool else 0)
+    # every cell holds exactly one value
+    out[:, 0] = members.size - out[:, 1:].sum(axis=1)
     return out
 
 

@@ -1,9 +1,10 @@
 """Experiment configuration, trial execution, aggregation, and emission.
 
-Trials are independent tasks over immutable instances: every trial derives
-its instance seed and run seed by hashing (base seed, cell, trial index), so
-results are identical whether the sweep runs sequentially or across worker
-processes (``OCL_THREADS`` caps the worker count).
+Trials are independent tasks: each generates its instance once and runs
+every configured algorithm on that one immutable instance. Every trial
+derives its instance seed and run seeds by hashing (base seed, cell, trial
+index), so results are identical whether the sweep runs sequentially or
+across worker processes (``OCL_THREADS`` caps the worker count).
 """
 
 from __future__ import annotations
@@ -27,7 +28,22 @@ from .report import CSV_COLUMNS, RunReport
 from .solver_lv import run_baseline, run_lv
 from .solver_mc import run_mc
 
-ALGOS = ("baseline", "lv", "mc")
+# name -> solve(instance, seed, constants, band, query_log=None), which
+# returns (clustering, report). The solvers are looked up in this module's
+# namespace at call time, so a wrapper installed on, say, ``harness.run_lv``
+# sees every solve of the sweep and of ``oclust run``.
+SOLVERS = {
+    "baseline": lambda inst, seed, consts, band, query_log=None: run_baseline(
+        inst, seed, query_log=query_log
+    ),
+    "lv": lambda inst, seed, consts, band, query_log=None: run_lv(
+        inst, seed, query_log=query_log
+    ),
+    "mc": lambda inst, seed, consts, band, query_log=None: run_mc(
+        inst, consts, seed, band=band, query_log=query_log
+    ),
+}
+ALGOS = tuple(SOLVERS)
 
 
 class ConfigError(ValueError):
@@ -50,35 +66,51 @@ class ExperimentConfig:
     timings: bool = False  # keep wall-clock times (breaks byte-identity)
 
     def validate(self) -> None:
-        if not self.ns or any(n < 1 for n in self.ns):
-            raise ConfigError("ns: need a nonempty list of positive ints")
-        if not self.ks or any(k < 1 for k in self.ks):
-            raise ConfigError("ks: need a nonempty list of positive ints")
-        if self.trials < 1:
-            raise ConfigError("trials: must be >= 1")
-        if not self.algos:
-            raise ConfigError("algos: need at least one algorithm")
-        for i, algo in enumerate(self.algos):
-            if algo not in ALGOS:
-                raise ConfigError(f"algos[{i}]: unknown algorithm {algo!r}")
-        if not self.dists:
-            raise ConfigError("dists: need at least one (f_plus, f_minus) pair")
-        for i, pair in enumerate(self.dists):
-            if len(pair) != 2:
-                raise ConfigError(f"dists[{i}]: expected [f_plus, f_minus]")
+        """Check every field's type and range; raises a path-addressed
+        :class:`ConfigError`, so each (n, k) cell of a valid config runs."""
+        for name in ("ns", "ks"):
+            values = _nonempty_list(self, name, "positive ints")
+            for i, x in enumerate(values):
+                if not _is_int(x) or x < 1:
+                    raise ConfigError(f"{name}[{i}]: {x!r:.40} is not a positive int")
+        n_min = min(self.ns)
+        for i, k in enumerate(self.ks):
+            if k > n_min:
+                j = self.ns.index(n_min)
+                raise ConfigError(f"ks[{i}]: k={k} exceeds n={n_min} of ns[{j}]")
+        if not _is_int(self.trials) or self.trials < 1:
+            raise ConfigError(f"trials: {self.trials!r:.40} is not a positive int")
+        if not _is_int(self.base_seed):
+            raise ConfigError(f"base_seed: {self.base_seed!r:.40} is not an int")
+        for i, algo in enumerate(_nonempty_list(self, "algos", "algorithm names")):
+            if not isinstance(algo, str) or algo not in SOLVERS:
+                raise ConfigError(f"algos[{i}]: unknown algorithm {algo!r:.40}")
+        for i, pair in enumerate(_nonempty_list(self, "dists", "(f_plus, f_minus) pairs")):
+            if (
+                not isinstance(pair, (list, tuple))
+                or len(pair) != 2
+                or not all(isinstance(text, str) for text in pair)
+            ):
+                raise ConfigError(f"dists[{i}]: expected [f_plus, f_minus] strings")
             try:
                 fp, fm = from_text(pair[0]), from_text(pair[1])
             except ValueError as exc:
                 raise ConfigError(f"dists[{i}]: {exc}") from exc
             if fp.support != fm.support:
                 raise ConfigError(f"dists[{i}]: f_plus and f_minus must share a support")
-        for i, spec in enumerate(self.cluster_specs):
+        for i, spec in enumerate(_nonempty_list(self, "cluster_specs", "cluster specs")):
             _parse_cluster_spec(spec, where=f"cluster_specs[{i}]")
-        if self.band not in ("lemma", "text"):
-            raise ConfigError(f"band: unknown mode {self.band!r}")
+        if not isinstance(self.constants, Constants):
+            raise ConfigError("constants: expected Constants")
+        if not isinstance(self.band, str) or self.band not in ("lemma", "text"):
+            raise ConfigError(f"band: unknown mode {self.band!r:.40}")
+        if not isinstance(self.timings, bool):
+            raise ConfigError(f"timings: {self.timings!r:.40} is not true or false")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
+        if not isinstance(doc, dict):
+            raise ConfigError("config: expected a JSON object")
         known = {
             "ns", "ks", "dists", "algos", "trials", "base_seed",
             "constants", "band", "cluster_specs", "timings",
@@ -86,21 +118,30 @@ class ExperimentConfig:
         for key in doc:
             if key not in known:
                 raise ConfigError(f"{key}: unknown configuration key")
+        consts = doc.get("constants", {})
+        if not isinstance(consts, dict):
+            raise ConfigError("constants: expected an object")
+        for key, value in consts.items():
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
+                raise ConfigError(f"constants.{key}: {value!r:.40} is not a number")
         try:
-            consts = Constants(**doc.get("constants", {}))
-        except (TypeError, ValueError) as exc:
+            consts = Constants(**consts)
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"constants: {exc}") from exc
+        dists = doc.get("dists", [])
+        if isinstance(dists, list):
+            dists = [tuple(p) if isinstance(p, list) else p for p in dists]
         cfg = cls(
-            ns=[int(x) for x in doc.get("ns", [])],
-            ks=[int(x) for x in doc.get("ks", [])],
-            dists=[tuple(p) for p in doc.get("dists", [])],
-            algos=list(doc.get("algos", [])),
-            trials=int(doc.get("trials", 1)),
-            base_seed=int(doc.get("base_seed", 0)),
+            ns=doc.get("ns", []),
+            ks=doc.get("ks", []),
+            dists=dists,
+            algos=doc.get("algos", []),
+            trials=doc.get("trials", 1),
+            base_seed=doc.get("base_seed", 0),
             constants=consts,
             band=doc.get("band", "lemma"),
-            cluster_specs=list(doc.get("cluster_specs", ["balanced"])),
-            timings=bool(doc.get("timings", False)),
+            cluster_specs=doc.get("cluster_specs", ["balanced"]),
+            timings=doc.get("timings", False),
         )
         cfg.validate()
         return cfg
@@ -109,12 +150,25 @@ class ExperimentConfig:
     def from_file(cls, path: str | Path) -> "ExperimentConfig":
         try:
             doc = json.loads(Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:  # unreadable, bad UTF-8 or JSON
             raise ConfigError(f"{path}: {exc}") from exc
         return cls.from_dict(doc)
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _nonempty_list(config: ExperimentConfig, name: str, what: str) -> list:
+    values = getattr(config, name)
+    if not isinstance(values, list) or not values:
+        raise ConfigError(f"{name}: need a nonempty list of {what}")
+    return values
+
+
 def _parse_cluster_spec(text: str, where: str = "cluster_spec"):
+    if not isinstance(text, str):
+        raise ConfigError(f"{where}: {text!r:.40} is not a string")
     if text == "balanced":
         return lambda k: Balanced(k)
     if text.startswith("skewed:"):
@@ -122,8 +176,8 @@ def _parse_cluster_spec(text: str, where: str = "cluster_spec"):
             ratio = float(text.split(":", 1)[1])
         except ValueError as exc:
             raise ConfigError(f"{where}: bad skew ratio in {text!r}") from exc
-        if ratio < 1.0:
-            raise ConfigError(f"{where}: skew ratio must be >= 1")
+        if not 1.0 <= ratio < math.inf:
+            raise ConfigError(f"{where}: skew ratio must be finite and >= 1")
         return lambda k: Skewed(k, ratio)
     raise ConfigError(f"{where}: unknown cluster spec {text!r}")
 
@@ -134,26 +188,22 @@ def trial_seed(base: int, *parts) -> int:
     return int.from_bytes(sha256(text).digest()[:8], "little") >> 1
 
 
-def _run_one(task: tuple) -> tuple[int, dict]:
-    (idx, algo, n, k, spec_text, fp_text, fm_text, inst_seed, run_seed,
-     consts_tuple, band, timings) = task
+def _run_trial(task: tuple) -> list[dict]:
+    """One (cell, trial): generate the instance once, then run each
+    (algorithm, run seed) on it in order."""
+    n, k, spec_text, fp_text, fm_text, inst_seed, runs, consts, band, timings = task
     spec = _parse_cluster_spec(spec_text)(k)
     inst = generate(n, spec, from_text(fp_text), from_text(fm_text), inst_seed)
-    consts = Constants(*consts_tuple)
-    if algo == "baseline":
-        _, report = run_baseline(inst, run_seed)
-    elif algo == "lv":
-        _, report = run_lv(inst, run_seed)
-    elif algo == "mc":
-        _, report = run_mc(inst, consts, run_seed, band=band)
-    else:
-        raise ValueError(f"unknown algorithm {algo!r}")
-    if not timings:
-        report.wall_ms = 0.0
-    report.extras["f_plus"] = fp_text
-    report.extras["f_minus"] = fm_text
-    report.extras["cluster_spec"] = spec_text
-    return idx, report.to_dict()
+    out = []
+    for algo, run_seed in runs:
+        _, report = SOLVERS[algo](inst, run_seed, consts, band)
+        if not timings:
+            report.wall_ms = 0.0
+        report.extras["f_plus"] = fp_text
+        report.extras["f_minus"] = fm_text
+        report.extras["cluster_spec"] = spec_text
+        out.append(report.to_dict())
+    return out
 
 
 def worker_count() -> int:
@@ -164,43 +214,38 @@ def worker_count() -> int:
 
 
 def run_experiment(config: ExperimentConfig) -> tuple[list[RunReport], list[dict]]:
-    """Run every (cell, algorithm, trial), deterministically seeded.
+    """Run every (cell, trial, algorithm), deterministically seeded; the
+    algorithms of one trial share its instance.
 
     Returns the reports in stable order plus one aggregate row per
     (cell, algorithm), annotated with the query lower bound for the cell.
     """
     config.validate()
     tasks = []
-    idx = 0
     for n, k, spec_text, (fp_text, fm_text) in product(
         config.ns, config.ks, config.cluster_specs, config.dists
     ):
         for trial in range(config.trials):
             cell = (n, k, spec_text, fp_text, fm_text, trial)
-            inst_seed = trial_seed(config.base_seed, "gen", *cell)
-            for algo in config.algos:
-                run_seed = trial_seed(config.base_seed, "run", algo, *cell)
-                tasks.append(
-                    (
-                        idx, algo, n, k, spec_text, fp_text, fm_text,
-                        inst_seed, run_seed,
-                        (config.constants.c, config.constants.c_prime, config.constants.scale),
-                        config.band, config.timings,
-                    )
+            runs = tuple(
+                (algo, trial_seed(config.base_seed, "run", algo, *cell))
+                for algo in config.algos
+            )
+            tasks.append(
+                (
+                    n, k, spec_text, fp_text, fm_text,
+                    trial_seed(config.base_seed, "gen", *cell), runs,
+                    config.constants, config.band, config.timings,
                 )
-                idx += 1
+            )
 
     workers = worker_count()
-    results: list[Optional[dict]] = [None] * len(tasks)
     if workers == 1:
-        for task in tasks:
-            i, rep = _run_one(task)
-            results[i] = rep
+        trials = [_run_trial(task) for task in tasks]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for i, rep in pool.map(_run_one, tasks, chunksize=1):
-                results[i] = rep
-    reports = [RunReport.from_dict(r) for r in results]
+            trials = list(pool.map(_run_trial, tasks, chunksize=1))
+    reports = [RunReport.from_dict(rep) for trial in trials for rep in trial]
     return reports, aggregate(reports)
 
 

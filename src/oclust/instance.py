@@ -262,7 +262,7 @@ class Instance:
         )
 
 
-# Pairs drawn per step of generate. Its float64 and int64 temporaries stay
+# Pairs drawn per step of generate. Its float64 temporaries stay
 # under 4 MiB, the size from which numpy asks the kernel for transparent huge
 # pages: larger ones, freed back into the heap, keep a resident set that
 # depends on where the heap is mapped, so peak memory would vary from one
@@ -290,8 +290,17 @@ def generate(
         raise ValueError("seed must lie in [0, 2**63), the range the fingerprint and load accept")
     sizes = cluster_sizes(spec, n)
     labels = np.repeat(np.arange(len(sizes), dtype=np.int32), sizes)
+    # clusters are contiguous blocks, so row i of the triangle is a run of
+    # block_end(i) - i - 1 same-cluster pairs followed by n - block_end(i)
+    # cross-cluster pairs
+    block_end = np.repeat(np.cumsum(sizes), sizes)
 
+    # inverse CDF in one pass: the value index is the number of thresholds
+    # cdf[0..q-2] at or below u, which equals min(searchsorted(cdf, u,
+    # "right"), q - 1) for any nondecreasing cdf. thresholds[j] is the pair
+    # (f_plus.cdf[j], f_minus.cdf[j]), repeated over the runs of each row.
     q = f_plus.q
+    thresholds = np.stack([f_plus.cdf[: q - 1], f_minus.cdf[: q - 1]], axis=1)
     npairs = n * (n - 1) // 2
     tri = np.empty(npairs, dtype=_dtype_for_q(q))
     starts = _row_starts(n)  # starts[n - 1] == npairs
@@ -303,10 +312,14 @@ def generate(
         r1 = min(max(r1, r0 + 1), n - 1)
         hi = int(starts[r1])
         u = pair_uniforms(seed, lo, hi)
-        idx_plus = np.minimum(np.searchsorted(f_plus.cdf, u, side="right"), q - 1)
-        idx_minus = np.minimum(np.searchsorted(f_minus.cdf, u, side="right"), q - 1)
-        same = np.concatenate([labels[i + 1 :] == labels[i] for i in range(r0, r1)])
-        tri[lo:hi] = np.where(same, idx_plus, idx_minus)
+        ends = block_end[r0:r1]
+        runs = np.empty(2 * (r1 - r0), dtype=np.int64)
+        runs[0::2] = ends - np.arange(r0 + 1, r1 + 1)
+        runs[1::2] = n - ends
+        out = tri[lo:hi]
+        out[:] = 0
+        for thr in thresholds:
+            out += u >= np.repeat(np.tile(thr, r1 - r0), runs)
         r0 = r1
     return Instance(labels, SideInfo(n, f_plus.support, tri), f_plus, f_minus, seed)
 

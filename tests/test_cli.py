@@ -167,3 +167,29 @@ def test_bench_bad_config_exits_two(tmp_path, capsys):
     cfg_path.write_text(json.dumps({"ns": [40], "ks": [2], "dists": [], "algos": ["lv"], "trials": 1}))
     code = main(["bench", "--config", str(cfg_path)])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"trials": None},
+        {"trials": "x"},
+        {"ns": 5},
+        {"dists": [5]},
+        {"ns": [2.7]},
+        {"timings": "no"},
+        {"ks": [200], "ns": [100]},
+    ],
+)
+def test_bench_malformed_config_value_exits_two(tmp_path, capsys, fields):
+    cfg = {
+        "ns": [40], "ks": [2], "dists": [["0:0.1,1:0.9", "0:0.9,1:0.1"]],
+        "algos": ["lv"], "trials": 1,
+    }
+    cfg.update(fields)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    code = main(["bench", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from oclust.divergence import Distribution, Support, bernoulli, hellinger, hellinger2
+from oclust.divergence import Distribution, Support, bernoulli, from_text, hellinger, hellinger2
+from oclust import estimation
 from oclust.estimation import (
     Constants,
+    inter_counts,
     inter_dist,
     intra_dist,
     membership,
@@ -143,6 +145,46 @@ class TestMembership:
         fast = membership_scores(pool, members, inst.side)
         slow = [membership(int(v), members, inst.side) for v in pool]
         assert np.allclose(fast, slow, atol=1e-12)
+
+
+class TestInterCounts:
+    """The row-block gather against the cell-by-cell np.ix_ form it replaced."""
+
+    @staticmethod
+    def reference(pool, members, side):
+        sub = side.dense()[np.ix_(pool, members)]
+        out = np.empty((pool.shape[0], side.q), dtype=np.float64)
+        for i in range(side.q):
+            out[:, i] = (sub == i).sum(axis=1)
+        return out
+
+    @pytest.mark.parametrize(
+        "pmfs",
+        [("0:0.1,1:0.9", "0:0.9,1:0.1"), ("0:0.2,1:0.3,2:0.5", "0:0.5,1:0.3,2:0.2")],
+        ids=["q2", "q3"],
+    )
+    # 1 cell: one row per step; 7 * 90: steps that split both sets
+    @pytest.mark.parametrize("cells", [1, 7 * 90, 1 << 20])
+    def test_matches_ix_gather(self, monkeypatch, pmfs, cells):
+        monkeypatch.setattr(estimation, "_GATHER_CELLS", cells)
+        inst = generate(90, Balanced(4), from_text(pmfs[0]), from_text(pmfs[1]), seed=13)
+        rng = np.random.default_rng(5)
+        perm = rng.permutation(90)
+        cases = [
+            (perm[:60], perm[60:70]),  # more pool than members
+            (perm[:10], perm[10:80]),  # more members than pool
+            (perm[:30], perm[30:60]),  # equal sizes
+            (perm[:0], perm[:25]),  # empty pool
+            (perm[:40], perm[40:41]),  # single member
+            (perm[:1], perm[1:2]),
+            (perm[:20], perm[:0]),  # empty member set
+        ]
+        for pool, members in cases:
+            got = inter_counts(pool, members, inst.side)
+            want = self.reference(pool, members, inst.side)
+            assert got.shape == want.shape == (pool.size, inst.q)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
 
 
 class TestThreshold:

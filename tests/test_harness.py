@@ -1,10 +1,14 @@
 import hashlib
 import json
 import xml.etree.ElementTree as ET
+from itertools import product
 from statistics import mean, median
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from oclust import harness
 from oclust.harness import (
     ConfigError,
     ExperimentConfig,
@@ -15,6 +19,7 @@ from oclust.harness import (
     run_experiment,
     trial_seed,
 )
+from oclust.instance import cluster_sizes, generate
 from oclust.report import CSV_COLUMNS, RunReport
 
 BERN_91 = ("0:0.1,1:0.9", "0:0.9,1:0.1")
@@ -89,6 +94,95 @@ class TestConfig:
         p.write_text("{not json")
         with pytest.raises(ConfigError):
             ExperimentConfig.from_file(p)
+        p.write_bytes(b'{"ns": "\xff"}')
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_file(p)
+        p.write_text("[" * 100_000)
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_file(p)
+
+    @pytest.mark.parametrize(
+        "fields, match",
+        [
+            ({"trials": None}, "trials"),
+            ({"trials": "x"}, "trials"),
+            ({"trials": True}, "trials"),
+            ({"ns": 5}, "ns"),
+            ({"ns": [2.7]}, r"ns\[0\]"),
+            ({"ns": [True]}, r"ns\[0\]"),
+            ({"ks": [1, "3"]}, r"ks\[1\]"),
+            ({"ks": [200], "ns": [100]}, r"ks\[0\]: k=200 exceeds n=100"),
+            ({"ks": [3], "ns": [300, 2]}, r"ks\[0\].*ns\[1\]"),
+            ({"dists": [5]}, r"dists\[0\]"),
+            ({"dists": ["ab"]}, r"dists\[0\]"),
+            ({"dists": [[BERN_91[0], 5]]}, r"dists\[0\]"),
+            ({"algos": "lv"}, "algos"),
+            ({"algos": [["lv"]]}, r"algos\[0\]"),
+            ({"base_seed": 1.5}, "base_seed"),
+            ({"timings": "no"}, "timings"),
+            ({"timings": 0}, "timings"),
+            ({"band": ["lemma"]}, "band"),
+            ({"cluster_specs": "balanced"}, "cluster_specs"),
+            ({"cluster_specs": []}, "cluster_specs"),
+            ({"cluster_specs": [5]}, r"cluster_specs\[0\]"),
+            ({"cluster_specs": ["skewed:nan"]}, r"cluster_specs\[0\]"),
+            ({"cluster_specs": ["skewed:inf"]}, r"cluster_specs\[0\]"),
+            ({"constants": None}, "constants"),
+            ({"constants": {"scale": True}}, r"constants\.scale"),
+            ({"constants": {"c": "118"}}, r"constants\.c"),
+            ({"constants": {"c": 10**400}}, "constants"),
+            ({"constants": {"d": 1.0}}, "constants"),
+        ],
+    )
+    def test_malformed_value_is_config_error(self, fields, match):
+        with pytest.raises(ConfigError, match=match):
+            small_config(**fields)
+
+    def test_non_object_document_is_config_error(self):
+        with pytest.raises(ConfigError, match="JSON object"):
+            ExperimentConfig.from_dict([1, 2])
+
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False)
+    | st.text(max_size=12)
+    | st.sampled_from(["balanced", "skewed:4", "lv", "mc", "lemma", BERN_91[0], WEAK3[1]]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+CONFIG_KEYS = [
+    "ns", "ks", "dists", "algos", "trials", "base_seed",
+    "constants", "band", "cluster_specs", "timings",
+]
+
+
+@given(
+    replaced=st.dictionaries(st.sampled_from(CONFIG_KEYS + ["bogus"]), JSON_VALUES, max_size=3),
+    dropped=st.sets(st.sampled_from(CONFIG_KEYS), max_size=2),
+)
+def test_from_dict_fuzz(replaced, dropped):
+    # a valid document with some fields dropped and some replaced by
+    # arbitrary JSON: either a ConfigError or a config that validates
+    doc = {
+        "ns": [60, 90], "ks": [3], "dists": [list(BERN_91), list(WEAK3)],
+        "algos": ["baseline", "lv", "mc"], "trials": 2, "base_seed": 42,
+        "constants": {"scale": 0.05}, "band": "lemma",
+        "cluster_specs": ["balanced", "skewed:4"], "timings": False,
+    }
+    for key in dropped:
+        doc.pop(key)
+    doc.update(replaced)
+    try:
+        cfg = ExperimentConfig.from_dict(doc)
+    except ConfigError:
+        return
+    cfg.validate()
+    if max(cfg.ns) <= 10_000:
+        for n, k, spec in product(cfg.ns, cfg.ks, cfg.cluster_specs):
+            assert sum(cluster_sizes(harness._parse_cluster_spec(spec)(k), n)) == n
 
 
 class TestRunExperiment:
@@ -124,6 +218,40 @@ class TestRunExperiment:
         assert len(reports) == 48
         digest = hashlib.sha256(reports_csv(reports).encode()).hexdigest()
         assert digest == PINNED_SWEEP_SHA256
+
+    def test_generate_runs_once_per_trial(self, monkeypatch):
+        monkeypatch.setenv("OCL_THREADS", "1")
+        calls = []
+
+        def counting_generate(*args):
+            calls.append(args)
+            return generate(*args)
+
+        monkeypatch.setattr(harness, "generate", counting_generate)
+        cfg = pinned_config()
+        reports, _ = run_experiment(cfg)
+        cells = len(cfg.ns) * len(cfg.ks) * len(cfg.cluster_specs) * len(cfg.dists)
+        assert len(calls) == cells * cfg.trials == 16
+        assert len(reports) == len(calls) * len(cfg.algos)
+        assert len({args[-1] for args in calls}) == len(calls)  # one instance seed each
+        assert hashlib.sha256(reports_csv(reports).encode()).hexdigest() == PINNED_SWEEP_SHA256
+
+    def test_solvers_are_resolved_at_call_time(self, monkeypatch):
+        # a wrapper installed on harness.run_* (as a tracer does) sees every solve
+        seen = []
+        for name in ("run_baseline", "run_lv", "run_mc"):
+            original = getattr(harness, name)
+
+            def wrapper(*args, _name=name, _original=original, **kwargs):
+                seen.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(harness, name, wrapper)
+        run_experiment(small_config(trials=1))
+        assert seen == ["run_baseline", "run_lv", "run_mc"]
+
+    def test_algos_follow_the_solver_registry(self):
+        assert harness.ALGOS == tuple(harness.SOLVERS) == ("baseline", "lv", "mc")
 
     def test_instances_shared_across_algorithms(self):
         cfg = small_config(trials=1)

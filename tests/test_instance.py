@@ -85,22 +85,73 @@ class TestGenerate:
         for lo, hi in [(0, 10), (3, 17), (999, 1001), (4096, 4200), (4999, 5000)]:
             assert np.array_equal(pair_uniforms(31337, lo, hi), full[lo:hi])
 
+    @staticmethod
+    def reference_tri(n, spec, fp, fm, seed, u=None):
+        """W from its definition: per-row same-cluster masks and two full
+        inverse-CDF passes over the pair stream."""
+        sizes = cluster_sizes(spec, n)
+        labels = np.repeat(np.arange(len(sizes)), sizes)
+        rows = [labels[i + 1 :] == labels[i] for i in range(n - 1)]
+        same = np.concatenate(rows + [np.zeros(0, dtype=bool)])
+        if u is None:
+            u = pair_uniforms(seed, 0, n * (n - 1) // 2)
+        idx = np.where(same, np.searchsorted(fp.cdf, u, "right"), np.searchsorted(fm.cdf, u, "right"))
+        return np.minimum(idx, fp.q - 1)
+
     @pytest.mark.parametrize("chunk", [1, 37, 1 << 30])
     def test_output_independent_of_generation_step(self, monkeypatch, chunk):
-        # one row per step, steps ending mid-cluster, and one step in all
+        # one row per step, steps ending mid-cluster, and one step in all,
+        # each against the reference expression
         from oclust import instance as instance_mod
-        from oclust.divergence import from_text
+        from oclust.divergence import Distribution, Support
 
-        fp, fm = from_text("0:0.2,1:0.3,2:0.5"), from_text("0:0.5,1:0.3,2:0.2")
-        spec = ExplicitSizes((30, 9, 1, 20))
-        want = generate(60, spec, fp, fm, seed=5)
-        labels = want.labels
-        same = np.concatenate([labels[i + 1 :] == labels[i] for i in range(59)])
-        u = pair_uniforms(5, 0, 60 * 59 // 2)
-        idx = np.where(same, np.searchsorted(fp.cdf, u, "right"), np.searchsorted(fm.cdf, u, "right"))
-        assert np.array_equal(want.side.tri, np.minimum(idx, 2))
+        # q = 300 stores W as uint16; both pmfs have zero-mass values
+        rng = np.random.default_rng(8)
+        w_plus, w_minus = rng.gamma(1.0, size=300), rng.gamma(1.0, size=300)
+        w_plus[10:60] = 0.0
+        w_minus[200:] = 0.0
+        wide = Support(tuple(range(300)))
+        wide_pmfs = (
+            Distribution(wide, w_plus / w_plus.sum()),
+            Distribution(wide, w_minus / w_minus.sum()),
+        )
+        binary = (from_text("0:0.1,1:0.9"), from_text("0:0.9,1:0.1"))
+        cases = [
+            (60, ExplicitSizes((30, 9, 1, 20)), ("0:0.2,1:0.3,2:0.5", "0:0.5,1:0.3,2:0.2")),
+            (40, Balanced(3), (bernoulli(0.0), bernoulli(0.5))),
+            (40, Skewed(4, 3.0), (bernoulli(1.0), bernoulli(1.0))),
+            (40, Balanced(4), (bernoulli(1.0), bernoulli(0.0))),
+            (50, Balanced(5), ("0:0.5,1:0,2:0.5", "0:0.25,1:0,2:0.75")),  # empty middle value
+            (1, Balanced(1), binary),
+            (2, Balanced(1), binary),
+            (2, Balanced(2), binary),
+            (25, ExplicitSizes((1,) * 25), binary),
+            (30, Balanced(1), binary),
+            (60, ExplicitSizes((20, 1, 9, 30)), wide_pmfs),
+        ]
+        want = []
+        for n, spec, (fp, fm) in cases:
+            fp, fm = (from_text(f) if isinstance(f, str) else f for f in (fp, fm))
+            inst = generate(n, spec, fp, fm, seed=5)
+            assert inst.side.tri.dtype == (np.uint16 if fp.q > 256 else np.uint8)
+            assert np.array_equal(inst.side.tri, self.reference_tri(n, spec, fp, fm, 5))
+            want.append((n, spec, fp, fm, inst))
         monkeypatch.setattr(instance_mod, "_GENERATE_CHUNK", chunk)
-        assert generate(60, spec, fp, fm, seed=5) == want
+        for n, spec, fp, fm, inst in want:
+            assert generate(n, spec, fp, fm, seed=5) == inst
+
+    def test_uniforms_on_a_threshold_match_searchsorted(self, monkeypatch):
+        # a uniform equal to a cdf value takes the higher index, as
+        # searchsorted(cdf, u, "right") does; Philox almost never hits one
+        from oclust import instance as instance_mod
+
+        fp, fm = from_text("0:0.25,1:0,2:0.75"), from_text("0:0,1:0.5,2:0.5")
+        ties = np.concatenate([fp.cdf, fm.cdf, [0.0, 0.1, 0.3, 0.6, 0.9]])
+        n = 40
+        u = np.resize(np.concatenate([ties, np.nextafter(ties, 0.0)]), n * (n - 1) // 2)
+        monkeypatch.setattr(instance_mod, "pair_uniforms", lambda seed, lo, hi: u[lo:hi])
+        inst = generate(n, Balanced(3), fp, fm, seed=0)
+        assert np.array_equal(inst.side.tri, self.reference_tri(n, Balanced(3), fp, fm, 0, u))
 
     @pytest.mark.parametrize("seed", [-1, 1 << 63])
     def test_seed_outside_fingerprint_range_rejected(self, seed):
