@@ -194,18 +194,15 @@ def inter_counts(pool: np.ndarray, members: np.ndarray, side: SideInfo) -> np.nd
     """Per-vertex counts of side-information values toward a member set:
     row v of the result is the unnormalized p_{v,C}. Shape (len(pool), q)."""
     dense = side.dense()
-    # W is symmetric, so read whole rows of the smaller set, a step at a
-    # time, and gather the other set's columns from them: contiguous rows
-    # are far cheaper than a cell-by-cell np.ix_ gather
-    by_pool = pool.size < members.size
-    rows, cols = (pool, members) if by_pool else (members, pool)
+    # W is symmetric, so read whole member rows, a step at a time, and gather
+    # the pool's columns from them: contiguous rows are far cheaper than a
+    # cell-by-cell np.ix_ gather
     out = np.zeros((pool.size, side.q), dtype=np.float64)
     step = max(1, _GATHER_CELLS // dense.shape[1])
-    for lo in range(0, rows.size, step):
-        sub = dense[rows[lo : lo + step]][:, cols]
-        dst = out[lo : lo + step] if by_pool else out
+    for lo in range(0, members.size, step):
+        sub = dense[members[lo : lo + step]][:, pool]
         for i in range(1, side.q):
-            dst[:, i] += np.count_nonzero(sub == i, axis=1 if by_pool else 0)
+            out[:, i] += np.count_nonzero(sub == i, axis=0)
     # every cell holds exactly one value
     out[:, 0] = members.size - out[:, 1:].sum(axis=1)
     return out

@@ -169,24 +169,9 @@ def test_bench_bad_config_exits_two(tmp_path, capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize(
-    "fields",
-    [
-        {"trials": None},
-        {"trials": "x"},
-        {"ns": 5},
-        {"dists": [5]},
-        {"ns": [2.7]},
-        {"timings": "no"},
-        {"ks": [200], "ns": [100]},
-    ],
-)
-def test_bench_malformed_config_value_exits_two(tmp_path, capsys, fields):
-    cfg = {
-        "ns": [40], "ks": [2], "dists": [["0:0.1,1:0.9", "0:0.9,1:0.1"]],
-        "algos": ["lv"], "trials": 1,
-    }
-    cfg.update(fields)
+def test_bench_malformed_config_value_exits_two(tmp_path, capsys):
+    # a non-string pmf pair used to escape as a TypeError traceback
+    cfg = {"ns": [40], "ks": [2], "dists": [5], "algos": ["lv"], "trials": 1}
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     code = main(["bench", "--config", str(cfg_path), "--out", str(tmp_path / "out")])

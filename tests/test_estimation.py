@@ -163,7 +163,7 @@ class TestInterCounts:
         [("0:0.1,1:0.9", "0:0.9,1:0.1"), ("0:0.2,1:0.3,2:0.5", "0:0.5,1:0.3,2:0.2")],
         ids=["q2", "q3"],
     )
-    # 1 cell: one row per step; 7 * 90: steps that split both sets
+    # 1 cell: one member row per step; 7 * 90: steps of seven member rows
     @pytest.mark.parametrize("cells", [1, 7 * 90, 1 << 20])
     def test_matches_ix_gather(self, monkeypatch, pmfs, cells):
         monkeypatch.setattr(estimation, "_GATHER_CELLS", cells)

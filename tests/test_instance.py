@@ -137,8 +137,11 @@ class TestGenerate:
             assert np.array_equal(inst.side.tri, self.reference_tri(n, spec, fp, fm, 5))
             want.append((n, spec, fp, fm, inst))
         monkeypatch.setattr(instance_mod, "_GENERATE_CHUNK", chunk)
-        for n, spec, fp, fm, inst in want:
-            assert generate(n, spec, fp, fm, seed=5) == inst
+        # 0: binary search for every pmf; 1 << 30: counting passes for every pmf
+        for count_thresholds in (0, 1 << 30):
+            monkeypatch.setattr(instance_mod, "_COUNT_THRESHOLDS", count_thresholds)
+            for n, spec, fp, fm, inst in want:
+                assert generate(n, spec, fp, fm, seed=5) == inst
 
     def test_uniforms_on_a_threshold_match_searchsorted(self, monkeypatch):
         # a uniform equal to a cdf value takes the higher index, as
@@ -150,8 +153,10 @@ class TestGenerate:
         n = 40
         u = np.resize(np.concatenate([ties, np.nextafter(ties, 0.0)]), n * (n - 1) // 2)
         monkeypatch.setattr(instance_mod, "pair_uniforms", lambda seed, lo, hi: u[lo:hi])
-        inst = generate(n, Balanced(3), fp, fm, seed=0)
-        assert np.array_equal(inst.side.tri, self.reference_tri(n, Balanced(3), fp, fm, 0, u))
+        want = self.reference_tri(n, Balanced(3), fp, fm, 0, u)
+        for count_thresholds in (0, 1 << 30):
+            monkeypatch.setattr(instance_mod, "_COUNT_THRESHOLDS", count_thresholds)
+            assert np.array_equal(generate(n, Balanced(3), fp, fm, seed=0).side.tri, want)
 
     @pytest.mark.parametrize("seed", [-1, 1 << 63])
     def test_seed_outside_fingerprint_range_rejected(self, seed):
