@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 
 class InvariantError(RuntimeError):
@@ -83,17 +84,74 @@ def misassigned_count(blocks, truth_labels: np.ndarray) -> int:
     """Elements outside an optimal one-to-one matching of blocks to truth.
 
     Zero iff the partitions are identical; robust to splits, merges, and
-    differing cluster counts.
+    differing cluster counts. Empty blocks are ignored.
     """
     truth_labels = np.asarray(truth_labels)
     n = truth_labels.shape[0]
     k_true = int(truth_labels.max(initial=-1)) + 1
     blocks = [b for b in blocks if len(b)]
-    if not blocks:
-        return n
-    overlap = np.zeros((len(blocks), k_true), dtype=np.int64)
-    for i, b in enumerate(blocks):
-        ids, cnt = np.unique(truth_labels[np.asarray(list(b))], return_counts=True)
-        overlap[i, ids] = cnt
-    rows, cols = linear_sum_assignment(overlap, maximize=True)
-    return int(n - overlap[rows, cols].sum())
+    sizes = [len(b) for b in blocks]
+    ids = np.fromiter(chain.from_iterable(blocks), dtype=np.int64, count=sum(sizes))
+    block_of = np.repeat(np.arange(len(blocks)), sizes)
+    overlap = np.bincount(
+        block_of * k_true + truth_labels[ids], minlength=len(blocks) * k_true
+    ).reshape(len(blocks), k_true)
+    return n - max_matching(overlap)
+
+
+def max_matching(weights: np.ndarray) -> int:
+    """Largest total weight of a one-to-one matching of rows to columns.
+
+    Shortest augmenting paths with dual potentials, the Jonker-Volgenant
+    form of the Hungarian method as Crouse gives it for rectangular problems
+    (IEEE TAES 2016), run over the smaller side as a minimum-cost problem on
+    the negated weights. Row reduction starts it: each row's cheapest column
+    goes to the first row that wants it. Every row still unmatched then
+    grows a Dijkstra tree on reduced costs until it reaches a free column
+    and flips the matching along that path. Exact for integer weights whose
+    total stays below 2**53.
+    """
+    if weights.shape[0] > weights.shape[1]:
+        weights = weights.T
+    r, c = weights.shape
+    if r == 0:
+        return 0
+    cost = -weights.astype(np.float64)
+    u = cost.min(axis=1)  # row potentials; every reduced cost stays >= 0
+    v = np.zeros(c)  # column potentials, 0 on every free column
+    row_of = np.full(c, -1)
+    col_of = np.full(r, -1)
+    cols, rows = np.unique(cost.argmin(axis=1), return_index=True)
+    row_of[cols] = rows
+    col_of[rows] = cols
+    for start in np.flatnonzero(col_of == -1):
+        reach = np.full(c, np.inf)  # shortest path to each unsettled column
+        dist = np.zeros(c)  # shortest path to each settled column
+        shut = np.zeros(c)  # inf on settled columns
+        prev = np.full(c, -1)  # last row on the shortest path to a column
+        i, d = start, 0.0
+        while True:
+            step = cost[i] - u[i] - v + (d + shut)
+            better = step < reach
+            reach[better] = step[better]
+            prev[better] = i
+            j = int(reach.argmin())
+            d = reach[j]
+            if row_of[j] != -1:  # on a tie, end the path at a free column
+                ties = np.flatnonzero((reach == d) & (row_of == -1))
+                j = int(ties[0]) if ties.size else j
+            dist[j] = d
+            reach[j] = shut[j] = np.inf
+            if row_of[j] == -1:
+                break
+            i = row_of[j]
+        tree = np.flatnonzero(shut)
+        gain = d - dist[tree]
+        v[tree] -= gain
+        u[start] += d
+        inner = row_of[tree] != -1
+        u[row_of[tree[inner]]] += gain[inner]
+        while j != -1:  # flip the path back to start, whose column is -1
+            i = prev[j]
+            row_of[j], col_of[i], j = i, j, col_of[i]
+    return int(weights[np.arange(r), col_of].sum())

@@ -189,7 +189,7 @@ def _dtype_for_q(q: int) -> np.dtype:
 class Instance:
     """Immutable planted instance: truth labels, side information, provenance."""
 
-    __slots__ = ("n", "labels", "f_plus", "f_minus", "seed", "side", "_truth")
+    __slots__ = ("n", "k", "labels", "f_plus", "f_minus", "seed", "side", "_truth", "_fingerprint")
 
     def __init__(
         self,
@@ -215,16 +215,14 @@ class Instance:
             raise ValueError("truth labels must use every cluster id 0..k-1")
         labels.setflags(write=False)
         self.n = n
+        self.k = k
         self.labels = labels
         self.f_plus = f_plus
         self.f_minus = f_minus
         self.seed = int(seed)
         self.side = side
         self._truth = None
-
-    @property
-    def k(self) -> int:
-        return int(self.labels.max(initial=-1)) + 1
+        self._fingerprint = None
 
     @property
     def q(self) -> int:
@@ -241,13 +239,17 @@ class Instance:
         return self._truth
 
     def fingerprint(self) -> str:
-        h = sha256()
-        h.update(struct.pack("<qq", self.n, self.seed))
-        h.update(self.labels.tobytes())
-        h.update(self.side.tri.tobytes())
-        h.update(to_text(self.f_plus).encode())
-        h.update(to_text(self.f_minus).encode())
-        return h.hexdigest()[:12]
+        """Short sha256 of n, seed, labels, W and both distributions; hashed
+        on the first call only, as every field is immutable."""
+        if self._fingerprint is None:
+            h = sha256()
+            h.update(struct.pack("<qq", self.n, self.seed))
+            h.update(self.labels.tobytes())
+            h.update(self.side.tri.tobytes())
+            h.update(to_text(self.f_plus).encode())
+            h.update(to_text(self.f_minus).encode())
+            self._fingerprint = h.hexdigest()[:12]
+        return self._fingerprint
 
     def __eq__(self, other):
         if not isinstance(other, Instance):

@@ -108,8 +108,9 @@ class LvState:
         return self.order[: self.num_rankable]
 
     def join(self, v: int, cid: int) -> None:
-        members = self.clustering.members[cid]
-        self.intra[cid] += np.bincount(self.dense[v, members], minlength=self.q)
+        # v's pool counts toward cid are the pairs it adds inside cid; read
+        # them before _remove reuses v's slot
+        self.intra[cid] += self.inter[cid, :, self.slot[v]]
         self._remove(v)
         self._count(v, cid)
         self.clustering.add(v, cid)

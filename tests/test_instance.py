@@ -1,3 +1,4 @@
+import hashlib
 import json
 import struct
 
@@ -7,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from oclust.divergence import bernoulli, from_text
+from oclust import instance as instance_mod
+from oclust.divergence import bernoulli, from_text, to_text
 from oclust.instance import (
     Balanced,
     ExplicitSizes,
@@ -102,7 +104,6 @@ class TestGenerate:
     def test_output_independent_of_generation_step(self, monkeypatch, chunk):
         # one row per step, steps ending mid-cluster, and one step in all,
         # each against the reference expression
-        from oclust import instance as instance_mod
         from oclust.divergence import Distribution, Support
 
         # q = 300 stores W as uint16; both pmfs have zero-mass values
@@ -146,8 +147,6 @@ class TestGenerate:
     def test_uniforms_on_a_threshold_match_searchsorted(self, monkeypatch):
         # a uniform equal to a cdf value takes the higher index, as
         # searchsorted(cdf, u, "right") does; Philox almost never hits one
-        from oclust import instance as instance_mod
-
         fp, fm = from_text("0:0.25,1:0,2:0.75"), from_text("0:0,1:0.5,2:0.5")
         ties = np.concatenate([fp.cdf, fm.cdf, [0.0, 0.1, 0.3, 0.6, 0.9]])
         n = 40
@@ -219,6 +218,30 @@ class TestPersistence:
         assert again.fingerprint() == inst.fingerprint()
         # n <= 200 gets the human-readable sidecar
         assert (tmp_path / "inst.oclb.json").exists()
+
+    def test_fingerprint_is_hashed_once_and_survives_round_trip(self, tmp_path, monkeypatch):
+        inst = generate(150, Skewed(3, 4.0), bernoulli(0.8), bernoulli(0.3), seed=9)
+        h = hashlib.sha256()
+        h.update(struct.pack("<qq", inst.n, inst.seed))
+        for field in (inst.labels.tobytes(), inst.side.tri.tobytes()):
+            h.update(field)
+        for dist in (inst.f_plus, inst.f_minus):
+            h.update(to_text(dist).encode())
+        expected = h.hexdigest()[:12]
+        assert inst.fingerprint() == expected
+        again = load(save(inst, tmp_path / "inst.oclb"))
+        assert again.k == inst.k == 3
+        calls = []
+
+        def counting_sha256():
+            calls.append(1)
+            return hashlib.sha256()
+
+        monkeypatch.setattr(instance_mod, "sha256", counting_sha256)
+        assert inst.fingerprint() == expected  # cached by the first call
+        assert again.fingerprint() == expected  # hashed here, once
+        assert again.fingerprint() == expected
+        assert len(calls) == 1
 
     def test_sidecar_suppressed_for_large_n(self, tmp_path):
         inst = generate(300, Balanced(2), bernoulli(0.9), bernoulli(0.1), seed=2)
