@@ -68,16 +68,22 @@ class ClusteringState:
 
 
 def partition_equal(blocks, truth_labels: np.ndarray) -> bool:
-    """True iff the blocks are exactly the truth partition."""
-    truth_labels = np.asarray(truth_labels)
-    n = truth_labels.shape[0]
-    if sum(len(b) for b in blocks) != n:
+    """True iff the blocks are exactly the truth partition: each of the ids
+    0..n-1 lies in exactly one block, and each block is one whole truth
+    class."""
+    n = np.asarray(truth_labels).shape[0]
+    if sum(len(b) for b in blocks) != n or not all(len(b) for b in blocks):
         return False
-    got = {frozenset(b) for b in blocks}
-    want: dict[int, set[int]] = {}
-    for v, c in enumerate(truth_labels):
-        want.setdefault(int(c), set()).add(v)
-    return got == {frozenset(b) for b in want.values()}
+    ids, overlap = _overlap(blocks, truth_labels)
+    if overlap is None or np.bincount(ids, minlength=n).max(initial=0) > 1:
+        return False
+    # n distinct ids: the partitions are equal iff no block meets two
+    # classes and no class meets two blocks
+    nonzero = overlap > 0
+    return bool(
+        (np.count_nonzero(nonzero, axis=1) <= 1).all()
+        and (np.count_nonzero(nonzero, axis=0) <= 1).all()
+    )
 
 
 def misassigned_count(blocks, truth_labels: np.ndarray) -> int:
@@ -86,17 +92,30 @@ def misassigned_count(blocks, truth_labels: np.ndarray) -> int:
     Zero iff the partitions are identical; robust to splits, merges, and
     differing cluster counts. Empty blocks are ignored.
     """
+    n = np.asarray(truth_labels).shape[0]
+    _, overlap = _overlap(blocks, truth_labels)
+    if overlap is None:
+        raise ValueError(f"block ids must lie in 0..{n - 1}")
+    return n - max_matching(overlap)
+
+
+def _overlap(blocks, truth_labels: np.ndarray):
+    """The nonempty blocks' ids, concatenated, and their overlap with the
+    truth classes: cell (b, c) counts the ids of block b labelled c. The
+    overlap is None when an id lies outside 0..n-1."""
     truth_labels = np.asarray(truth_labels)
     n = truth_labels.shape[0]
     k_true = int(truth_labels.max(initial=-1)) + 1
     blocks = [b for b in blocks if len(b)]
     sizes = [len(b) for b in blocks]
     ids = np.fromiter(chain.from_iterable(blocks), dtype=np.int64, count=sum(sizes))
+    if ids.size and (ids.min() < 0 or ids.max() >= n):
+        return ids, None
     block_of = np.repeat(np.arange(len(blocks)), sizes)
     overlap = np.bincount(
         block_of * k_true + truth_labels[ids], minlength=len(blocks) * k_true
     ).reshape(len(blocks), k_true)
-    return n - max_matching(overlap)
+    return ids, overlap
 
 
 def max_matching(weights: np.ndarray) -> int:

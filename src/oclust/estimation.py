@@ -184,7 +184,7 @@ def estimates_from_counts(
 # vectorized kernels (solvers evaluate many vertices against one snapshot)
 
 
-# Cells of W read per step of inter_counts: the rows read, their gathers and
+# Cells of W read per step of value_planes: the rows read, their gathers and
 # compares stay under the 4 MiB from which numpy asks for transparent huge
 # pages (see instance._GENERATE_CHUNK).
 _GATHER_CELLS = 1 << 20
@@ -193,27 +193,37 @@ _GATHER_CELLS = 1 << 20
 def inter_counts(pool: np.ndarray, members: np.ndarray, side: SideInfo) -> np.ndarray:
     """Per-vertex counts of side-information values toward a member set:
     row v of the result is the unnormalized p_{v,C}. Shape (len(pool), q)."""
-    dense = side.dense()
+    planes = value_planes(side.dense(), side.q, pool, members)
+    out = np.empty((pool.size, side.q), dtype=np.float64)
+    out[:, 1:] = planes.T
+    # every cell holds exactly one value
+    out[:, 0] = members.size - planes.sum(axis=0)
+    return out
+
+
+def value_planes(dense: np.ndarray, q: int, pool: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """Counts of each side-information value 1..q-1 between every pool
+    vertex and a member set, one plane per value: shape (q - 1, len(pool)).
+    Value 0's count is the member count minus the planes' sum."""
     # W is symmetric, so read whole member rows, a step at a time, and gather
     # the pool's columns from them: contiguous rows are far cheaper than a
     # cell-by-cell np.ix_ gather
-    out = np.zeros((pool.size, side.q), dtype=np.float64)
+    out = np.zeros((q - 1, pool.size), dtype=np.int64)
     step = max(1, _GATHER_CELLS // dense.shape[1])
     for lo in range(0, members.size, step):
         sub = dense[members[lo : lo + step]][:, pool]
-        for i in range(1, side.q):
-            out[:, i] += np.count_nonzero(sub == i, axis=0)
-    # every cell holds exactly one value
-    out[:, 0] = members.size - out[:, 1:].sum(axis=1)
+        for a in range(1, q):
+            out[a - 1] += np.count_nonzero(sub == a, axis=0)
     return out
 
 
 def hellinger2_rows(counts: np.ndarray, p_ref: np.ndarray) -> np.ndarray:
-    """Squared Hellinger divergence of each count row (normalized) from a
-    reference pmf."""
-    totals = counts.sum(axis=1, keepdims=True)
-    d = np.sqrt(counts / totals) - np.sqrt(p_ref)[None, :]
-    return 0.5 * np.einsum("ij,ij->i", d, d)
+    """Squared Hellinger divergence of each count row (the last axis,
+    normalized) from a reference pmf that broadcasts against the rows."""
+    d = counts / counts.sum(axis=-1, keepdims=True)
+    np.sqrt(d, out=d)
+    d -= np.sqrt(p_ref)
+    return 0.5 * np.einsum("...j,...j->...", d, d)
 
 
 def membership_scores(pool: np.ndarray, members: Sequence[int], side: SideInfo) -> np.ndarray:

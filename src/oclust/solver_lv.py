@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .clustering import ClusteringState, InvariantError, misassigned_count, partition_equal
-from .estimation import hellinger2_rows, membership_scores
+from .estimation import hellinger2_rows, membership_scores, value_planes
 from .instance import Instance
 from .oracle import Oracle, QueryLogger
 from .report import RunReport
@@ -54,6 +54,13 @@ def run_baseline(
     )
 
 
+# Cells of the largest temporary a batch of speculative placements builds:
+# 128 KB of float64. Larger batches gained no speed and raised peak RSS
+_BATCH_CELLS = 1 << 14
+# Fewest steps a batch guesses: shorter batches cost more than they save
+_MIN_BATCH = 4
+
+
 class LvState:
     """Clusters in nonincreasing size order plus an incremental ranking of
     the unclustered pool.
@@ -66,9 +73,10 @@ class LvState:
 
     Cache invariant, holding between rounds for every live slot i:
 
-    - ``inter[c, :, i]`` counts the side-information values between vertex
-      ``ids[i]`` and the members of cluster c (every cluster, ranked or not),
-      stored one value plane per row so that scoring reads whole planes;
+    - ``inter[c, a - 1, i]`` counts the members of cluster c (every cluster,
+      ranked or not) whose side-information value with vertex ``ids[i]`` is
+      a, for a = 1..q-1, as int32 planes; value 0's count is the cluster size
+      minus their sum;
     - ``scores[c, i]`` is its membership in c, for every rankable cluster c
       (size >= 2), as :func:`hellinger2_rows` computes it; only the pool rows
       are scored, and a cluster is rescored only when it grew
@@ -78,10 +86,11 @@ class LvState:
       in ``order`` (the larger one, then the older one) wins; ``best_score``
       holds that maximum.
 
-    When cluster c grows, rows whose cached best is another cluster b only
-    compare c against b: the others' scores and relative order are
-    unchanged. Rows whose cached best was c itself are re-ranked by a full
-    argmax in size order.
+    When cluster c grows by one vertex (:meth:`join`), rows whose cached best
+    is another cluster b only compare c against b: the others' scores and
+    relative order are unchanged. Rows whose cached best was c itself are
+    re-ranked by a full argmax in size order. A run of placements into one
+    cluster can instead be committed at once (:meth:`place_run`).
     """
 
     def __init__(self, instance: Instance):
@@ -94,7 +103,7 @@ class LvState:
         self.ids = np.arange(n)  # slot -> unclustered vertex
         self.slot = np.arange(n)  # vertex -> slot, while unclustered
         cap = 4  # cluster capacity of the arrays below, doubled on demand
-        self.inter = np.zeros((cap, q, n))  # cluster x value x slot counts
+        self.inter = np.zeros((cap, q - 1, n), dtype=np.int32)  # cluster x value x slot
         self.scores = np.empty((cap, n))  # cluster x slot membership
         self.best = np.full(n, -1)  # slot -> cached best rankable cluster
         self.best_score = np.full(n, -np.inf)
@@ -103,14 +112,20 @@ class LvState:
         self.order: list[int] = []  # cluster ids by (-size, id)
         self.pos = np.zeros(cap, dtype=np.int64)  # cluster id -> index in order
         self.num_rankable = 0  # clusters of size >= 2: a prefix of order
+        # steps the next batch guesses: doubled after a batch commits all of
+        # its steps, cut to the steps committed after one that does not, and
+        # one more after each single-step first-query hit
+        self.batch = 0
 
     def rankable(self) -> list[int]:
         return self.order[: self.num_rankable]
 
     def join(self, v: int, cid: int) -> None:
-        # v's pool counts toward cid are the pairs it adds inside cid; read
-        # them before _remove reuses v's slot
-        self.intra[cid] += self.inter[cid, :, self.slot[v]]
+        # v's counts toward cid are the pairs it adds inside cid; read them
+        # before _remove reuses v's slot
+        row = self.inter[cid, :, self.slot[v]]
+        self.intra[cid][1:] += row
+        self.intra[cid][0] += self.clustering.size(cid) - row.sum()
         self._remove(v)
         self._count(v, cid)
         self.clustering.add(v, cid)
@@ -135,21 +150,157 @@ class LvState:
 
     def fresh_scores(self, cid: int) -> np.ndarray:
         """Membership of every pool vertex in ``cid``, rescored if it grew."""
-        size = self.clustering.size(cid)
-        m = self.m
-        if self.scored_at[cid] != size:
-            pairs = size * (size - 1) / 2
-            p_c = self.intra[cid] / pairs
-            counts = self.inter[cid, :, :m].T
-            if self.q > 2:
-                # from three values up, einsum's per-row summation order
-                # follows the memory layout, so score a row-major copy as the
-                # (n, q) row-major counts always were; a two-term sum rounds
-                # the same in either order
-                counts = np.ascontiguousarray(counts)
-            self.scores[cid, :m] = -hellinger2_rows(counts, p_c)
-            self.scored_at[cid] = size
-        return self.scores[cid, :m]
+        if self.scored_at[cid] != self.clustering.size(cid):
+            self._rescore(cid)
+        return self.scores[cid, : self.m]
+
+    def place_run(self, j: int, v: int, oracle: Oracle) -> tuple[list[int], Optional[int]]:
+        """Ask the selected vertex v about cluster ``order[j]`` first and, while
+        the answers are +1, go on placing the vertices the following rounds
+        select into that cluster. Returns the vertices placed, in order, and
+        the vertex whose first query missed, or None when none missed.
+
+        When at least ``_MIN_BATCH`` steps fit, the run is guessed and checked
+        in one batch (:meth:`_guess`); otherwise v alone takes a single step.
+        """
+        c = self.order[j]
+        guess = self._guess(c)
+        if guess is None:
+            if oracle.query(v, self.clustering.min_member[c]) != 1:
+                return [], v
+            self.join(v, c)
+            self.batch += 1
+            return [v], None
+        g, verified, other, other_score, tau, intra = guess
+        rep = self.clustering.min_member[c]
+        placed: list[int] = []
+        missed = None
+        for u in g[:verified].tolist():
+            if oracle.query(u, rep) != 1:
+                missed = u
+                break
+            placed.append(u)
+            rep = min(rep, u)
+        steps = len(placed)
+        self.batch = 2 * g.size if steps == g.size else steps
+        if steps:
+            self._commit(c, g[:steps], other, other_score, tau, intra[steps])
+        return placed, missed
+
+    def _guess(self, c: int) -> Optional[tuple]:
+        """Guess the next rounds' selections and check them in one pass.
+
+        Called when the round's selection is (j, v) with ``order[j] == c``.
+        The guess: while every query hits, the following rounds place the
+        lowest-id pool vertices whose cached best is c, in id order, and
+        nothing else changes but c. Step t (c has grown by t) is verified
+        when the selection the sequential rounds would make there is the
+        guessed vertex with best cluster c, assuming steps 0..t-1 placed
+        their guesses. Only c's scores move, so every row's best is c or its
+        first-max cluster among the others, which this computes once.
+
+        Returns None when fewer than ``_MIN_BATCH`` steps fit in the cell
+        budget or have candidates; else the guessed vertices, the length of
+        the verified prefix, each row's best other cluster, its score and the
+        step from which c precedes it in size order, and c's intra-cluster
+        counts before each step.
+        """
+        if self.batch < _MIN_BATCH:
+            return None
+        m, q = self.m, self.q
+        ids, best = self.ids[:m], self.best[:m]
+        cand = np.flatnonzero(best == c)
+        steps = min(self.batch, cand.size)
+        if steps < _MIN_BATCH:
+            return None
+        g = np.sort(ids[cand])[:steps]
+        # every row up to the last guess is watched (see below), so the
+        # shortest batch may already overflow the cell budget
+        if (_MIN_BATCH + 1) * q * np.count_nonzero(ids <= g[_MIN_BATCH - 1]) > _BATCH_CELLS:
+            return None
+        clustering = self.clustering
+        s0 = clustering.size(c)
+        # rows whose best is not c rank c after it at every step; for rows of
+        # c, c precedes its rival o from step tau = |o| - |c| + (o < c) on
+        other = best.copy()
+        other_score = self.best_score[:m].copy()
+        tau = np.zeros(m, dtype=np.int64)
+        rivals = np.array([r for r in self.rankable() if r != c], dtype=np.int64)
+        if rivals.size:
+            sub = self.scores[rivals[:, None], cand]
+            pick = sub.argmax(axis=0)  # first max in size order
+            other[cand] = rivals[pick]
+            other_score[cand] = sub[pick, np.arange(cand.size)]
+            sizes = np.array([clustering.size(r) for r in rivals])
+            tau[cand] = sizes[pick] - s0 + (rivals[pick] < c)
+        else:
+            other_score[cand] = -np.inf
+        # rows that can break the guess: every row up to the last guess (a
+        # lower id whose best turns to c is selected first) and rows of c that
+        # a cluster preceding c can take back; no other row can
+        rows = np.flatnonzero((ids <= g[-1]) | (tau > 0))
+        steps = min(steps, _BATCH_CELLS // (rows.size * q) - 1)
+        if steps < _MIN_BATCH:
+            return None
+        g = g[:steps]
+        at = np.searchsorted(rows, self.slot[g])  # guessed rows within rows
+        size = s0 + np.arange(steps + 1)
+
+        # c's counts toward the watched rows before each step 0..steps, one
+        # plane per value
+        cnt = np.empty((q, steps + 1, rows.size))
+        cnt[1:, 0] = self.inter[c][:, rows]
+        vals = self.dense[g[:, None], ids[rows]]
+        for a in range(1, q):
+            np.cumsum(vals == a, axis=0, out=cnt[a, 1:])
+        cnt[1:, 1:] += cnt[1:, :1]
+        cnt[0] = size[:, None] - cnt[1:].sum(axis=0)
+        intra = np.empty((steps + 1, q))
+        intra[0] = self.intra[c]
+        np.cumsum(cnt[:, np.arange(steps), at].T, axis=0, out=intra[1:])
+        intra[1:] += intra[0]
+        p_c = intra / (size * (size - 1) / 2)[:, None]
+        score = np.empty((steps + 1, rows.size))
+        score[0] = self.scores[c, rows]
+        score[1:] = -hellinger2_rows(_by_rows(cnt[:, 1:]), p_c[1:, None, :])
+
+        t = np.arange(steps + 1)[:, None]
+        os_r, tau_r = other_score[rows], tau[rows]
+        is_c = (score > os_r) | ((score == os_r) & (t >= tau_r))
+        left = np.full(rows.size, steps)  # step a row leaves the pool after
+        left[at] = np.arange(steps)
+        t = t[:-1]
+        # a row in the pool at step t is selected before the guess if its
+        # best is c and its id is lower, or its best precedes c
+        early = np.where(is_c[:-1], ids[rows] < g[:, None], t < tau_r) & (t <= left)
+        ok = is_c[np.arange(steps), at] & ~early.any(axis=1)
+        verified = steps if ok.all() else int(ok.argmin())
+        return g, verified, other, other_score, tau, intra
+
+    def _commit(self, c: int, placed: np.ndarray, other, other_score, tau, intra) -> None:
+        """Apply the verified steps of a batch: the vertices ``placed`` join c
+        in order, leaving the cache as their single steps would."""
+        m, steps = self.m, placed.size
+        self.intra[c] = intra
+        self.inter[c, :, :m] += value_planes(self.dense, self.q, self.ids[:m], placed)
+        for u in placed.tolist():
+            self.clustering.add(u, c)
+        self._rescore(c)
+        col = self.scores[c, :m]
+        is_c = (col > other_score) | ((col == other_score) & (steps >= tau))
+        self.best[:m] = np.where(is_c, c, other)
+        np.maximum(col, other_score, out=self.best_score[:m])
+        self._drop(self.slot[placed])
+        self._promote(c)
+
+    def _rescore(self, cid: int) -> None:
+        size, m = self.clustering.size(cid), self.m
+        p_c = self.intra[cid] / (size * (size - 1) / 2)
+        planes = np.empty((self.q, m))
+        planes[1:] = self.inter[cid, :, :m]
+        np.subtract(size, planes[1:].sum(axis=0), out=planes[0])
+        self.scores[cid, :m] = -hellinger2_rows(_by_rows(planes), p_c)
+        self.scored_at[cid] = size
 
     def _remove(self, v: int) -> None:
         """Swap-remove v from the pool."""
@@ -165,12 +316,34 @@ class LvState:
             self.best_score[i] = self.best_score[last]
         self.m = last
 
+    def _drop(self, slots: np.ndarray) -> None:
+        """Swap-remove the pool rows at these distinct slots at once,
+        refilling the holes left below the new end with the rows kept past
+        it. One vertex goes through :meth:`_remove`, whose scalar copies
+        cost a fraction of these index arrays."""
+        m = self.m - slots.size
+        holes = slots[slots < m]
+        if holes.size:
+            kept = np.ones(slots.size, dtype=bool)
+            kept[slots[slots >= m] - m] = False
+            movers = m + np.flatnonzero(kept)
+            u = self.ids[movers]
+            self.ids[holes] = u
+            self.slot[u] = holes
+            c = self.clustering.num_clusters
+            self.inter[:c, :, holes] = self.inter[:c, :, movers]
+            self.scores[:c, holes] = self.scores[:c, movers]
+            self.best[holes] = self.best[movers]
+            self.best_score[holes] = self.best_score[movers]
+        self.m = m
+
     def _count(self, v: int, cid: int) -> None:
-        """Add the pairs (pool vertex, v) to the pool's counts toward cid."""
+        """Add the pairs (pool vertex, v) to the pool's counts toward cid; one
+        row of W read directly, where :func:`value_planes` serves a set."""
         m = self.m
-        cells = self.inter[cid].reshape(-1)  # value a, slot i at a * n + i
-        vals = self.dense[v, self.ids[:m]].astype(np.int64)
-        cells[vals * self.n + np.arange(m)] += 1.0
+        vals = self.dense[v, self.ids[:m]]
+        for a in range(1, self.q):
+            self.inter[cid, a - 1, :m] += vals == a
 
     def _promote(self, cid: int) -> None:
         """Move a cluster that just grew forward to its place in the order."""
@@ -205,6 +378,15 @@ class LvState:
             best_score[stale] = sub[t, np.arange(stale.size)]
 
 
+def _by_rows(planes: np.ndarray) -> np.ndarray:
+    """Count rows, values on the last axis, from counts stored one plane per
+    value. From three values up, einsum's per-row summation order follows
+    the memory layout, so those rows are scored row-major, as they always
+    were; a two-term sum rounds the same in either order."""
+    rows = planes.transpose(*range(1, planes.ndim), 0)
+    return rows if planes.shape[0] == 2 else np.ascontiguousarray(rows)
+
+
 def run_lv(
     instance: Instance,
     seed: int,
@@ -223,10 +405,19 @@ def run_lv(
     from the cache :class:`LvState` keeps: after each placement only the pool
     rows of the one cluster that grew are rescored, and a full argmax runs
     only for the vertices whose cached best was that cluster; ties go to the
-    earlier cluster in size order. ``trace``, when given, collects
-    per-placement tuples (v, queries_used, recovered_true_cluster_size).
-    ``paranoid`` checks the whole cache against a from-scratch
-    :func:`membership_scores` on every round (tests only).
+    earlier cluster in size order.
+
+    Runs of rounds that place their vertex into one cluster on the first
+    query are taken in batches (:meth:`LvState.place_run`): the next rounds'
+    selections are guessed, checked in one vectorized pass, queried in
+    order, and the verified prefix of +1 answers is committed at once. The
+    round that breaks the run takes the single-step path. Every query, its
+    order and every cached score are the same as round-by-round placement.
+
+    ``trace``, when given, collects per-placement tuples (v, queries_used,
+    recovered_true_cluster_size). ``paranoid`` checks the whole cache
+    against a from-scratch :func:`membership_scores` after every round and
+    every committed batch (tests only).
     """
     t0 = time.perf_counter()
     oracle = Oracle(instance.labels, log=query_log)
@@ -235,23 +426,29 @@ def run_lv(
     recovered = np.zeros(instance.k, dtype=np.int64)
 
     while lv.m > 0:
-        pool = lv.ids[: lv.m]
-        order = list(lv.order)
         if paranoid:
             _check_cache(lv, instance)
+        pool = lv.ids[: lv.m]
         if lv.num_rankable == 0:
             v = int(pool.min())
-            used = _resolve_by_sweep(v, order, oracle, lv)
+            # no cluster is big enough to rank: a plain sweep
+            placed = [(v, _place(v, list(lv.order), oracle, lv))]
         else:
             # smallest order index j among the cached bests, then the
             # lowest vertex id achieving it
             j, v = divmod(int((lv.pos[lv.best[: lv.m]] * lv.n + pool).min()), lv.n)
-            rankable = lv.rankable()
-            v_scores = lv.scores[rankable, lv.slot[v]]
-            used = _resolve_ranked(v, j, order, rankable, v_scores, oracle, lv)
-        if trace is not None:
-            trace.append((v, used, int(recovered[instance.labels[v]])))
-        recovered[instance.labels[v]] += 1
+            c = lv.order[j]
+            run, missed = lv.place_run(j, v, oracle)
+            placed = [(u, 1) for u in run]
+            if missed is not None:
+                schedule = _miss_schedule(missed, int(lv.pos[c]), lv)
+                placed.append((missed, 1 + _place(missed, schedule, oracle, lv)))
+        for u, used in placed:
+            if trace is not None:
+                trace.append((u, used, int(recovered[instance.labels[u]])))
+            recovered[instance.labels[u]] += 1
+    if paranoid:
+        _check_cache(lv, instance)
 
     report = _exact_report("lv", instance, seed, oracle, lv.clustering, t0, {})
     return lv.clustering, report
@@ -259,7 +456,7 @@ def run_lv(
 
 def _check_cache(lv: LvState, instance: Instance) -> None:
     """Raise InvariantError unless the pool and every cached score and best
-    cluster match a from-scratch recomputation."""
+    cluster equal a from-scratch recomputation exactly."""
     clustering = lv.clustering
     pool = lv.ids[: lv.m]
     if not (
@@ -276,7 +473,7 @@ def _check_cache(lv: LvState, instance: Instance) -> None:
     cached = lv.scores[ranked, : lv.m]
     for c, col in zip(ranked, cached):
         ref = membership_scores(pool, clustering.members[c], instance.side)
-        if not np.allclose(col, ref, atol=1e-12):
+        if not np.array_equal(col, ref):
             raise InvariantError(f"LV cached scores of cluster {c} are stale")
     t = np.argmax(cached, axis=0)
     if not (
@@ -286,65 +483,31 @@ def _check_cache(lv: LvState, instance: Instance) -> None:
         raise InvariantError("LV cached best clusters are stale")
 
 
-def _resolve_ranked(
-    v: int,
-    j: int,
-    order: list[int],
-    rankable: list[int],
-    v_scores: np.ndarray,
-    oracle: Oracle,
-    lv: LvState,
-) -> int:
-    """Query schedule for a membership-ranked vertex; returns queries used."""
-    clustering = lv.clustering
-    tried: set[int] = set()
-
-    def ask(cid: int) -> bool:
-        tried.add(cid)
-        if oracle.query(v, clustering.min_member[cid]) == 1:
-            lv.join(v, cid)
-            return True
-        return False
-
-    used = 1
-    if ask(order[j]):
-        return used
-
-    # dyadic size groups over the larger clusters order[0..j-1]: group i holds
-    # sizes in (s1/2^i, s1/2^(i-1)]; probe the best-membership cluster of each
-    if j > 0:
-        s1 = clustering.size(order[0])
-        groups: dict[int, list[int]] = {}
-        for idx in range(j):
-            i = (s1 // clustering.size(order[idx])).bit_length()
-            groups.setdefault(i, []).append(idx)
-        for i in sorted(groups):
-            idx = max(groups[i], key=lambda t: (v_scores[t], -t))
-            used += 1
-            if ask(order[idx]):
-                return used
-
-    # still unresolved: sweep every untried cluster, then open a singleton
-    for cid in order:
-        if cid in tried:
-            continue
-        used += 1
-        if ask(cid):
-            return used
-    lv.open_singleton(v)
-    return used
+def _miss_schedule(v: int, j: int, lv: LvState) -> list[int]:
+    """Query schedule after v's first query, to cluster ``order[j]``, missed:
+    the best-membership cluster of each dyadic size group of the larger
+    clusters ``order[:j]`` (group i holds sizes in (s1/2^i, s1/2^(i-1)]),
+    then every cluster not yet tried, in order."""
+    clustering, order = lv.clustering, lv.order
+    v_scores = lv.scores[lv.rankable(), lv.slot[v]]
+    s1 = clustering.size(order[0])
+    groups: dict[int, list[int]] = {}
+    for idx in range(j):
+        groups.setdefault((s1 // clustering.size(order[idx])).bit_length(), []).append(idx)
+    picks = [order[max(groups[i], key=lambda t: (v_scores[t], -t))] for i in sorted(groups)]
+    tried = {order[j], *picks}
+    return picks + [cid for cid in order if cid not in tried]
 
 
-def _resolve_by_sweep(v: int, order: list[int], oracle: Oracle, lv: LvState) -> int:
-    """No cluster is big enough to rank; fall back to a plain sweep."""
-    used = 0
-    for cid in order:
-        used += 1
+def _place(v: int, schedule: list[int], oracle: Oracle, lv: LvState) -> int:
+    """Query v against the clusters in schedule order until one answers +1,
+    else open a singleton; returns the queries used."""
+    for used, cid in enumerate(schedule, start=1):
         if oracle.query(v, lv.clustering.min_member[cid]) == 1:
             lv.join(v, cid)
             return used
     lv.open_singleton(v)
-    return used
+    return len(schedule)
 
 
 def _exact_report(

@@ -1,4 +1,5 @@
-"""misassigned_count and the block matching under it."""
+"""Partition comparison: partition_equal, misassigned_count and the block
+matching under it."""
 
 import itertools
 import os
@@ -8,9 +9,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from oclust.clustering import max_matching, misassigned_count
+from oclust.clustering import max_matching, misassigned_count, partition_equal
 
 
 def _brute_force(blocks, labels: np.ndarray) -> int:
@@ -139,6 +142,73 @@ def test_all_singletons():
     assert misassigned_count([[int(v)] for v in rng.permutation(n)], labels) == 0
     # pairs against singletons: one element of each pair is left over
     assert misassigned_count([[v, v + 1] for v in range(0, n, 2)], labels) == n // 2
+
+
+def _partition_equal_sets(blocks, truth_labels) -> bool:
+    """Reference: compare the partitions as sets of frozensets."""
+    truth_labels = np.asarray(truth_labels)
+    n = truth_labels.shape[0]
+    if sum(len(b) for b in blocks) != n:
+        return False
+    got = {frozenset(b) for b in blocks}
+    want: dict[int, set[int]] = {}
+    for v, c in enumerate(truth_labels):
+        want.setdefault(int(c), set()).add(v)
+    return got == {frozenset(b) for b in want.values()}
+
+
+@st.composite
+def labelled_blocks(draw):
+    """Truth labels with gaps, and blocks that are the truth partition, the
+    truth with one fault, or arbitrary lists of ids."""
+    n = draw(st.integers(0, 10))
+    labels = np.array(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)), dtype=np.int64)
+    if not draw(st.booleans()):
+        ids = st.integers(-1, n + 1)
+        return draw(st.lists(st.lists(ids, max_size=n + 1), max_size=5)), labels
+    blocks = [draw(st.permutations(np.flatnonzero(labels == c).tolist())) for c in np.unique(labels)]
+    blocks = draw(st.permutations(blocks))
+    fault = draw(st.sampled_from(("none", "dup", "drop", "outside", "empty", "move", "merge", "split")))
+    if fault == "empty":
+        blocks.append([])
+    elif blocks and fault == "outside":
+        blocks[0].append(draw(st.sampled_from((-1, n, n + 5))))
+    elif blocks and fault == "merge" and len(blocks) > 1:
+        blocks[0] += blocks.pop()
+    elif blocks and fault in ("dup", "drop", "move", "split"):
+        b = draw(st.integers(0, len(blocks) - 1))
+        v = blocks[b].pop()
+        if fault == "dup":
+            blocks[b] += [v, v]
+        elif fault == "move":
+            blocks[draw(st.integers(0, len(blocks) - 1))].append(v)
+        elif fault == "split":
+            blocks.append([v])
+    return blocks, labels
+
+
+@given(labelled_blocks())
+def test_partition_equal_matches_set_reference(case):
+    blocks, labels = case
+    as_tuples = [tuple(b) for b in blocks]
+    assert partition_equal(blocks, labels) == _partition_equal_sets(blocks, labels)
+    assert partition_equal(as_tuples, labels) == _partition_equal_sets(as_tuples, labels)
+
+
+def test_partition_equal_cases():
+    blocks = _truth_blocks()
+    assert partition_equal(blocks, TRUTH)
+    assert partition_equal([set(blocks[2]), blocks[0][::-1], tuple(blocks[1])], TRUTH)
+    assert not partition_equal(blocks + [[]], TRUTH)
+    assert not partition_equal([blocks[0] + [25]] + blocks[1:], TRUTH)
+    assert not partition_equal([blocks[0][:-1] + [blocks[0][0]]] + blocks[1:], TRUTH)
+    assert partition_equal([], np.array([], dtype=np.int64))
+    assert not partition_equal([[]], np.array([], dtype=np.int64))
+
+
+def test_misassigned_count_rejects_ids_outside_the_range():
+    with pytest.raises(ValueError):
+        misassigned_count([[0, 1], [2, 25]], TRUTH)
 
 
 def test_import_loads_no_scipy():

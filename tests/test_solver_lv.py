@@ -3,9 +3,13 @@ from statistics import median
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from lv_reference import reference_lv
 
+from oclust import solver_lv
 from oclust.clustering import partition_equal
-from oclust.divergence import bernoulli, hellinger2
+from oclust.divergence import Distribution, Support, bernoulli, from_text, hellinger2
 from oclust.instance import Balanced, ExplicitSizes, generate
 from oclust.solver_lv import run_baseline, run_lv
 
@@ -101,3 +105,107 @@ class TestLasVegas:
         _, r1 = run_lv(inst, seed=9)
         _, r2 = run_lv(inst, seed=9)
         assert r1.queries == r2.queries
+
+
+# ---------------------------------------------------------------------------
+# batched placement: identical to the round-by-round reference
+
+
+def _run_with_log(inst, **kwargs):
+    log, trace = [], []
+    _, report = run_lv(inst, 0, query_log=lambda *row: log.append(row), trace=trace, **kwargs)
+    assert report.exact
+    return trace, log
+
+
+def _pmf(weights) -> Distribution:
+    w = np.asarray(weights, dtype=float)
+    return Distribution(Support(tuple(range(w.size))), w / w.sum())
+
+
+@st.composite
+def lv_instances(draw):
+    q = draw(st.sampled_from((2, 3, 5)))
+    weights = st.lists(st.integers(0, 6), min_size=q, max_size=q).filter(any)
+    fp = _pmf(draw(weights))
+    fm = fp if draw(st.booleans()) else _pmf(draw(weights))  # useless: many ties
+    n = draw(st.integers(1, 90))
+    kind = draw(st.sampled_from(("one", "balanced", "singletons")))
+    if kind == "one":
+        spec = Balanced(1)
+    elif kind == "balanced":
+        spec = Balanced(draw(st.integers(1, min(n, 8))))
+    else:
+        big = draw(st.integers(1, n))
+        spec = ExplicitSizes((big,) + (1,) * (n - big))
+    return generate(n, spec, fp, fm, seed=draw(st.integers(0, 2**16)))
+
+
+@given(lv_instances())
+def test_batched_lv_matches_reference(inst):
+    assert _run_with_log(inst) == reference_lv(inst)
+
+
+@pytest.mark.parametrize(
+    "n, spec, dists",
+    [
+        (300, Balanced(3), ("0:0.1,1:0.9", "0:0.9,1:0.1")),
+        (300, ExplicitSizes((150, 60, 30) + (1,) * 60), ("0:0.1,1:0.9", "0:0.9,1:0.1")),
+        (240, Balanced(4), ("0:0.2,1:0.3,2:0.5", "0:0.5,1:0.3,2:0.2")),
+        (200, Balanced(2), ("0:0.1,1:0.1,2:0.2,3:0.2,4:0.4", "0:0.4,1:0.2,2:0.2,3:0.1,4:0.1")),
+    ],
+)
+def test_larger_instances_match_reference(n, spec, dists):
+    inst = generate(n, spec, *(from_text(t) for t in dists), seed=n)
+    assert _run_with_log(inst) == reference_lv(inst)
+
+
+def _spy_commits(monkeypatch) -> list:
+    """Record the number of placements of every committed batch."""
+    sizes = []
+    commit = solver_lv.LvState._commit
+
+    def spy(self, c, placed, *args):
+        sizes.append(placed.size)
+        return commit(self, c, placed, *args)
+
+    monkeypatch.setattr(solver_lv.LvState, "_commit", spy)
+    return sizes
+
+
+def test_strong_instance_commits_multi_step_batches(monkeypatch):
+    sizes = _spy_commits(monkeypatch)
+    inst = generate(1000, Balanced(5), bernoulli(0.9), bernoulli(0.1), seed=4)
+    run_lv(inst, 0)
+    assert max(sizes) > 1
+    assert sum(sizes) > inst.n // 2  # most placements are batched
+
+
+def test_paranoid_checks_after_every_batch(monkeypatch):
+    events = []
+    check = solver_lv._check_cache
+    monkeypatch.setattr(solver_lv, "_check_cache", lambda *a: (events.append("check"), check(*a)))
+    sizes = _spy_commits(monkeypatch)
+    commit = solver_lv.LvState._commit
+    monkeypatch.setattr(
+        solver_lv.LvState, "_commit", lambda *a: (commit(*a), events.append("commit"))
+    )
+    inst = generate(200, Balanced(3), bernoulli(0.9), bernoulli(0.1), seed=6)
+    _, report = run_lv(inst, 0, paranoid=True)
+    assert report.exact and max(sizes) > 1
+    after = [events[i + 1] for i, e in enumerate(events) if e == "commit"]
+    assert after == ["check"] * len(after)
+
+
+def test_traces_identical_at_every_cell_budget(monkeypatch):
+    inst = generate(400, ExplicitSizes((200, 100, 50, 20) + (1,) * 30), bernoulli(0.85),
+                    bernoulli(0.15), seed=8)
+    expected = _run_with_log(inst)
+    sizes = _spy_commits(monkeypatch)
+    # 1: no batch fits; then the least budget in which the minimum batch
+    # fits over the whole pool, and a budget far past the default
+    for cells in (1, (solver_lv._MIN_BATCH + 1) * inst.q * inst.n, 1 << 22):
+        monkeypatch.setattr(solver_lv, "_BATCH_CELLS", cells)
+        sizes.clear()
+        assert _run_with_log(inst) == expected
+        assert (max(sizes, default=0) > 1) == (cells > 1)
