@@ -1,3 +1,4 @@
+import hashlib
 import json
 import struct
 
@@ -178,3 +179,37 @@ def test_bench_malformed_config_value_exits_two(tmp_path, capsys):
     assert code == 2
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+# sha256 of the ``run --query-log`` CSV on the instance of
+# test_run_mc_with_scaled_constants_and_query_log (n=120, k=3, seed 9), run
+# seed 2 at scale 0.05: the log's bytes are the oracle's whole query order
+PINNED_QUERY_LOG_SHA256 = {
+    "baseline": "a4cc0b06382196b9cb65f8437afe983df39fd9fc2fddeb9821d280ebca24663e",
+    "lv": "99b53848954024b354fd490318cef67dfde3e6b39ac4ecb733ce5c38814d8404",
+    "mc": "c391cd55f619304e09bd2413b828baa705be762e58a997b42b5a8fc9583d8c82",
+}
+REPORT_KEYS = [
+    "algo", "fingerprint", "n", "k", "seed", "queries", "q_phase1", "q_phase2",
+    "q_phase3", "exact", "misassigned", "wall_ms", "constants", "extras",
+]
+
+
+@pytest.mark.parametrize("algo", sorted(PINNED_QUERY_LOG_SHA256))
+def test_run_query_log_and_report_keys_pinned(tmp_path, capsys, algo):
+    inst_path = tmp_path / "demo.oclb"
+    run_cli(
+        capsys,
+        "gen", "--n", "120", "--k", "3", "--fplus", "0:0.1,1:0.9",
+        "--fminus", "0:0.9,1:0.1", "--seed", "9", "--out", str(inst_path),
+    )
+    log_path = tmp_path / "queries.csv"
+    code, out = run_cli(
+        capsys,
+        "run", "--algo", algo, "--instance", str(inst_path), "--seed", "2",
+        "--scale", "0.05", "--query-log", str(log_path),
+    )
+    assert code == 0
+    assert list(json.loads(out)) == REPORT_KEYS
+    digest = hashlib.sha256(log_path.read_bytes()).hexdigest()
+    assert digest == PINNED_QUERY_LOG_SHA256[algo]
