@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 from . import bounds as bounds_mod
@@ -17,6 +18,7 @@ from .divergence import from_text, hellinger
 from .estimation import Constants
 from .harness import SOLVERS, ConfigError, ExperimentConfig, emit, reports_csv, run_experiment
 from .oracle import csv_query_logger
+from .solver_mc import BAND_MODES
 
 
 def main(argv=None) -> int:
@@ -64,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--scale", type=float, default=1.0)
     p_run.add_argument("--c", type=float, default=118.0)
     p_run.add_argument("--cprime", type=float, default=3.0)
-    p_run.add_argument("--band", choices=("lemma", "text"), default="lemma")
+    p_run.add_argument("--band", choices=BAND_MODES, default="lemma")
     p_run.add_argument("--query-log", type=Path, help="write step,u,v,answer CSV")
     p_run.set_defaults(func=cmd_run)
 
@@ -126,16 +128,9 @@ def cmd_gen(args) -> int:
 def cmd_run(args) -> int:
     inst = instance_mod.load(args.instance)
     consts = Constants(c=args.c, c_prime=args.cprime, scale=args.scale)
-    log_fh = None
-    query_log = None
-    if args.query_log:
-        log_fh = open(args.query_log, "w")
-        query_log = csv_query_logger(log_fh)
-    try:
-        _, report = SOLVERS[args.algo](inst, args.seed, consts, args.band, query_log=query_log)
-    finally:
-        if log_fh:
-            log_fh.close()
+    with open(args.query_log, "w") if args.query_log else nullcontext() as log_fh:
+        events = csv_query_logger(log_fh) if log_fh else None
+        _, report = SOLVERS[args.algo](inst, args.seed, consts, args.band, events)
     print(json.dumps(report.to_dict(), indent=1))
     return 0
 

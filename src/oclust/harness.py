@@ -26,22 +26,17 @@ from .estimation import Constants
 from .instance import Balanced, Skewed, generate
 from .report import CSV_COLUMNS, RunReport
 from .solver_lv import run_baseline, run_lv
-from .solver_mc import run_mc
+from .solver_mc import BAND_MODES, run_mc
 
-# name -> solve(instance, seed, constants, band, query_log=None), which
-# returns (clustering, report). The solvers are looked up in this module's
-# namespace at call time, so a wrapper installed on, say, ``harness.run_lv``
-# sees every solve of the sweep and of ``oclust run``.
+# name -> solve(instance, seed, constants, band, events=None), which returns
+# (clustering, report); ``events`` is the run's optional event sink (see
+# ``oclust.oracle``). The solvers are looked up in this module's namespace at
+# call time, so a wrapper installed on, say, ``harness.run_lv`` sees every
+# solve of the sweep and of ``oclust run``.
 SOLVERS = {
-    "baseline": lambda inst, seed, consts, band, query_log=None: run_baseline(
-        inst, seed, query_log=query_log
-    ),
-    "lv": lambda inst, seed, consts, band, query_log=None: run_lv(
-        inst, seed, query_log=query_log
-    ),
-    "mc": lambda inst, seed, consts, band, query_log=None: run_mc(
-        inst, consts, seed, band=band, query_log=query_log
-    ),
+    "baseline": lambda inst, seed, consts, band, events=None: run_baseline(inst, seed, events),
+    "lv": lambda inst, seed, consts, band, events=None: run_lv(inst, seed, events),
+    "mc": lambda inst, seed, consts, band, events=None: run_mc(inst, consts, seed, band, events),
 }
 ALGOS = tuple(SOLVERS)
 
@@ -102,7 +97,7 @@ class ExperimentConfig:
             _parse_cluster_spec(spec, where=f"cluster_specs[{i}]")
         if not isinstance(self.constants, Constants):
             raise ConfigError("constants: expected Constants")
-        if not isinstance(self.band, str) or self.band not in ("lemma", "text"):
+        if not isinstance(self.band, str) or self.band not in BAND_MODES:
             raise ConfigError(f"band: unknown mode {self.band!r:.40}")
         if not isinstance(self.timings, bool):
             raise ConfigError(f"timings: {self.timings!r:.40} is not true or false")
@@ -188,7 +183,7 @@ def trial_seed(base: int, *parts) -> int:
     return int.from_bytes(sha256(text).digest()[:8], "little") >> 1
 
 
-def _run_trial(task: tuple) -> list[dict]:
+def _run_trial(task: tuple) -> list[RunReport]:
     """One (cell, trial): generate the instance once, then run each
     (algorithm, run seed) on it in order."""
     n, k, spec_text, fp_text, fm_text, inst_seed, runs, consts, band, timings = task
@@ -202,15 +197,19 @@ def _run_trial(task: tuple) -> list[dict]:
         report.extras["f_plus"] = fp_text
         report.extras["f_minus"] = fm_text
         report.extras["cluster_spec"] = spec_text
-        out.append(report.to_dict())
+        out.append(report)
     return out
 
 
 def worker_count() -> int:
+    """Worker processes ``OCL_THREADS`` asks for; 1 when it is unset."""
     raw = os.environ.get("OCL_THREADS", "").strip()
     if not raw:
         return 1
-    return max(1, int(raw))
+    try:
+        return max(1, int(raw))
+    except ValueError:
+        raise ConfigError(f"OCL_THREADS: {raw!r:.40} is not an int") from None
 
 
 def run_experiment(config: ExperimentConfig) -> tuple[list[RunReport], list[dict]]:
@@ -239,13 +238,15 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[RunReport], list[dict
                 )
             )
 
-    workers = worker_count()
+    # a forked pool starts every worker up front, so more workers than
+    # tasks would only be forked to sit idle
+    workers = min(worker_count(), len(tasks))
     if workers == 1:
         trials = [_run_trial(task) for task in tasks]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             trials = list(pool.map(_run_trial, tasks, chunksize=1))
-    reports = [RunReport.from_dict(rep) for trial in trials for rep in trial]
+    reports = [rep for trial in trials for rep in trial]
     return reports, aggregate(reports)
 
 

@@ -11,22 +11,26 @@ from typing import Callable, Optional
 
 import numpy as np
 
-QueryLogger = Callable[[int, int, int, int], None]
+# A run's one optional instrumentation hook: called with one dict per event,
+# the oracle's ``query`` events and the solvers' ``place`` events
+EventSink = Callable[[dict], None]
 
 
 class Oracle:
     """Truthful pairwise oracle over a fixed ground-truth labeling.
 
     One oracle per solver run; the memo and counter are single-writer.
+    ``events``, when given, receives ``{"event": "query", "step", "u", "v",
+    "answer"}`` for every charged pair, ``step`` counting from 1.
     """
 
-    __slots__ = ("_labels", "n", "_memo", "_log")
+    __slots__ = ("_labels", "n", "_memo", "events")
 
-    def __init__(self, labels: np.ndarray, log: Optional[QueryLogger] = None):
+    def __init__(self, labels: np.ndarray, events: Optional[EventSink] = None):
         self._labels = np.asarray(labels)
         self.n = int(self._labels.shape[0])
         self._memo: dict[tuple[int, int], int] = {}
-        self._log = log
+        self.events = events
 
     def query(self, u: int, v: int) -> int:
         """+1 iff u and v share a truth block; -1 otherwise."""
@@ -40,8 +44,9 @@ class Oracle:
             return cached
         answer = 1 if self._labels[u] == self._labels[v] else -1
         self._memo[key] = answer
-        if self._log is not None:
-            self._log(len(self._memo), u, v, answer)
+        if self.events is not None:
+            u, v, step = int(u), int(v), len(self._memo)
+            self.events({"event": "query", "step": step, "u": u, "v": v, "answer": answer})
         return answer
 
     @property
@@ -50,11 +55,13 @@ class Oracle:
         return len(self._memo)
 
 
-def csv_query_logger(fh) -> QueryLogger:
-    """Audit logger writing ``step,u,v,answer`` rows to an open text file."""
+def csv_query_logger(fh) -> EventSink:
+    """Event sink writing each ``query`` event as a ``step,u,v,answer`` row
+    to an open text file; other events are ignored."""
     fh.write("step,u,v,answer\n")
 
-    def log(step: int, u: int, v: int, answer: int) -> None:
-        fh.write(f"{step},{u},{v},{answer}\n")
+    def log(event: dict) -> None:
+        if event["event"] == "query":
+            fh.write(f"{event['step']},{event['u']},{event['v']},{event['answer']}\n")
 
     return log

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 # Fixed column order for report CSVs; the header is always emitted.
 CSV_COLUMNS = [
@@ -20,9 +20,10 @@ CSV_COLUMNS = [
 ]
 
 
-@dataclass
+@dataclass(kw_only=True)
 class RunReport:
-    """One solver run: identity, query accounting, recovery verdict, timing."""
+    """One solver run: identity, query accounting, recovery verdict, timing.
+    The fields are in :meth:`to_dict`'s key order."""
 
     algo: str
     fingerprint: str
@@ -30,22 +31,21 @@ class RunReport:
     k: int
     seed: int
     queries: int
-    exact: bool
-    misassigned: int
-    wall_ms: float = 0.0
     q_phase1: int = 0
     q_phase2: int = 0
     q_phase3: int = 0
+    exact: bool
+    misassigned: int
+    wall_ms: float = 0.0
     constants: dict = field(default_factory=dict)
     extras: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if (self.misassigned == 0) != self.exact:
             raise ValueError("exact must hold iff misassigned == 0")
-        # The nk cap is unconditional for the query-only solvers. The Monte
-        # Carlo solver enforces its own bound (nk plus waiting-list slack)
-        # before building the report, since a side-information misassignment
-        # can transiently push the cluster count past the true k.
+        # The nk cap is unconditional for the query-only solvers. A Monte
+        # Carlo misassignment can transiently push the cluster count past the
+        # true k, so run_mc checks n times the most clusters it held instead.
         if self.algo in ("lv", "baseline") and self.queries > self.n * max(self.k, 1):
             raise ValueError(
                 f"{self.algo}: {self.queries} queries exceeds nk = {self.n * self.k}"
@@ -67,38 +67,11 @@ class RunReport:
         ]
 
     def to_dict(self) -> dict:
-        return {
-            "algo": self.algo,
-            "fingerprint": self.fingerprint,
-            "n": self.n,
-            "k": self.k,
-            "seed": self.seed,
-            "queries": self.queries,
-            "q_phase1": self.q_phase1,
-            "q_phase2": self.q_phase2,
-            "q_phase3": self.q_phase3,
-            "exact": self.exact,
-            "misassigned": self.misassigned,
-            "wall_ms": self.wall_ms,
-            "constants": self.constants,
-            "extras": self.extras,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunReport":
-        return cls(
-            algo=d["algo"],
-            fingerprint=d["fingerprint"],
-            n=d["n"],
-            k=d["k"],
-            seed=d["seed"],
-            queries=d["queries"],
-            exact=d["exact"],
-            misassigned=d["misassigned"],
-            wall_ms=d["wall_ms"],
-            q_phase1=d["q_phase1"],
-            q_phase2=d["q_phase2"],
-            q_phase3=d["q_phase3"],
-            constants=d.get("constants", {}),
-            extras=d.get("extras", {}),
-        )
+        """Inverse of :meth:`to_dict`; only ``constants`` and ``extras`` may
+        be missing."""
+        keys = [f.name for f in fields(cls)]
+        return cls(**{k: d[k] for k in keys if k in d or k not in ("constants", "extras")})

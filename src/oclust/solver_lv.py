@@ -16,42 +16,41 @@ import numpy as np
 from .clustering import ClusteringState, InvariantError, misassigned_count, partition_equal
 from .estimation import hellinger2_rows, membership_scores, value_planes
 from .instance import Instance
-from .oracle import Oracle, QueryLogger
+from .oracle import EventSink, Oracle
 from .report import RunReport
 
 
 def run_baseline(
     instance: Instance,
     seed: int,
-    query_log: Optional[QueryLogger] = None,
+    events: Optional[EventSink] = None,
 ) -> tuple[ClusteringState, RunReport]:
     """One query per existing cluster, new cluster on all-negative answers.
 
     Processes vertices in seeded-random order; exact by construction and
-    uses at most nk queries (exactly n-1 when k == 1).
+    uses at most nk queries (exactly n-1 when k == 1). ``events`` receives
+    the events :func:`run_lv` documents.
     """
     t0 = time.perf_counter()
     n = instance.n
-    oracle = Oracle(instance.labels, log=query_log)
+    oracle = Oracle(instance.labels, events)
     state = ClusteringState(n)
     rng = np.random.default_rng(seed)
     kmax = max(instance.k, 1)
     for v in rng.permutation(n):
         v = int(v)
         before = oracle.count
-        placed = False
         for cid in range(state.num_clusters):
             if oracle.query(v, state.min_member[cid]) == 1:
                 state.add(v, cid)
-                placed = True
                 break
-        if not placed:
-            state.new_cluster(v)
-        if oracle.count - before > kmax:
+        else:
+            cid = state.new_cluster(v)
+        used = oracle.count - before
+        if used > kmax:
             raise InvariantError(f"baseline used more than k = {kmax} queries on vertex {v}")
-    return state, _exact_report(
-        "baseline", instance, seed, oracle, state, t0, {}
-    )
+        _emit_place(oracle, v, cid, used)
+    return state, _exact_report("baseline", instance, seed, oracle, state, t0)
 
 
 # Cells of the largest temporary a batch of speculative placements builds:
@@ -154,11 +153,11 @@ class LvState:
             self._rescore(cid)
         return self.scores[cid, : self.m]
 
-    def place_run(self, j: int, v: int, oracle: Oracle) -> tuple[list[int], Optional[int]]:
+    def place_run(self, j: int, v: int, oracle: Oracle) -> Optional[int]:
         """Ask the selected vertex v about cluster ``order[j]`` first and, while
         the answers are +1, go on placing the vertices the following rounds
-        select into that cluster. Returns the vertices placed, in order, and
-        the vertex whose first query missed, or None when none missed.
+        select into that cluster. Returns the vertex whose first query
+        missed, or None when none missed.
 
         When at least ``_MIN_BATCH`` steps fit, the run is guessed and checked
         in one batch (:meth:`_guess`); otherwise v alone takes a single step.
@@ -167,25 +166,26 @@ class LvState:
         guess = self._guess(c)
         if guess is None:
             if oracle.query(v, self.clustering.min_member[c]) != 1:
-                return [], v
+                return v
             self.join(v, c)
+            _emit_place(oracle, v, c, 1)
             self.batch += 1
-            return [v], None
+            return None
         g, verified, other, other_score, tau, intra = guess
         rep = self.clustering.min_member[c]
-        placed: list[int] = []
-        missed = None
+        steps, missed = 0, None
         for u in g[:verified].tolist():
             if oracle.query(u, rep) != 1:
                 missed = u
                 break
-            placed.append(u)
+            # placed now, committed with the batch's verified prefix below
+            _emit_place(oracle, u, c, 1)
+            steps += 1
             rep = min(rep, u)
-        steps = len(placed)
         self.batch = 2 * g.size if steps == g.size else steps
         if steps:
             self._commit(c, g[:steps], other, other_score, tau, intra[steps])
-        return placed, missed
+        return missed
 
     def _guess(self, c: int) -> Optional[tuple]:
         """Guess the next rounds' selections and check them in one pass.
@@ -390,8 +390,7 @@ def _by_rows(planes: np.ndarray) -> np.ndarray:
 def run_lv(
     instance: Instance,
     seed: int,
-    query_log: Optional[QueryLogger] = None,
-    trace: Optional[list] = None,
+    events: Optional[EventSink] = None,
     paranoid: bool = False,
 ) -> tuple[ClusteringState, RunReport]:
     """Las Vegas clustering: always exact, side information only steers which
@@ -414,43 +413,38 @@ def run_lv(
     round that breaks the run takes the single-step path. Every query, its
     order and every cached score are the same as round-by-round placement.
 
-    ``trace``, when given, collects per-placement tuples (v, queries_used,
-    recovered_true_cluster_size). ``paranoid`` checks the whole cache
-    against a from-scratch :func:`membership_scores` after every round and
-    every committed batch (tests only).
+    ``events``, when given, receives the oracle's ``query`` events and one
+    ``{"event": "place", "v", "cluster", "queries"}`` per vertex, right
+    after the queries that placed it: the cluster it joined or opened and
+    how many queries it took. The stream is the same as round-by-round
+    placement's. ``paranoid`` checks the whole cache against a from-scratch
+    :func:`membership_scores` after every round and every committed batch
+    (tests only).
     """
     t0 = time.perf_counter()
-    oracle = Oracle(instance.labels, log=query_log)
+    oracle = Oracle(instance.labels, events)
     lv = LvState(instance)
-    # recovered-size accounting per true cluster, for trace consumers
-    recovered = np.zeros(instance.k, dtype=np.int64)
 
     while lv.m > 0:
         if paranoid:
             _check_cache(lv, instance)
         pool = lv.ids[: lv.m]
         if lv.num_rankable == 0:
-            v = int(pool.min())
             # no cluster is big enough to rank: a plain sweep
-            placed = [(v, _place(v, list(lv.order), oracle, lv))]
+            _place(int(pool.min()), list(lv.order), oracle, lv)
         else:
             # smallest order index j among the cached bests, then the
             # lowest vertex id achieving it
             j, v = divmod(int((lv.pos[lv.best[: lv.m]] * lv.n + pool).min()), lv.n)
             c = lv.order[j]
-            run, missed = lv.place_run(j, v, oracle)
-            placed = [(u, 1) for u in run]
+            missed = lv.place_run(j, v, oracle)
             if missed is not None:
                 schedule = _miss_schedule(missed, int(lv.pos[c]), lv)
-                placed.append((missed, 1 + _place(missed, schedule, oracle, lv)))
-        for u, used in placed:
-            if trace is not None:
-                trace.append((u, used, int(recovered[instance.labels[u]])))
-            recovered[instance.labels[u]] += 1
+                _place(missed, schedule, oracle, lv, asked=1)
     if paranoid:
         _check_cache(lv, instance)
 
-    report = _exact_report("lv", instance, seed, oracle, lv.clustering, t0, {})
+    report = _exact_report("lv", instance, seed, oracle, lv.clustering, t0)
     return lv.clustering, report
 
 
@@ -499,15 +493,21 @@ def _miss_schedule(v: int, j: int, lv: LvState) -> list[int]:
     return picks + [cid for cid in order if cid not in tried]
 
 
-def _place(v: int, schedule: list[int], oracle: Oracle, lv: LvState) -> int:
+def _place(v: int, schedule: list[int], oracle: Oracle, lv: LvState, asked: int = 0) -> None:
     """Query v against the clusters in schedule order until one answers +1,
-    else open a singleton; returns the queries used."""
-    for used, cid in enumerate(schedule, start=1):
+    else open a singleton; ``asked`` queries about v came before."""
+    for used, cid in enumerate(schedule, start=asked + 1):
         if oracle.query(v, lv.clustering.min_member[cid]) == 1:
             lv.join(v, cid)
-            return used
-    lv.open_singleton(v)
-    return len(schedule)
+            _emit_place(oracle, v, cid, used)
+            return
+    _emit_place(oracle, v, lv.open_singleton(v), asked + len(schedule))
+
+
+def _emit_place(oracle: Oracle, v: int, cid: int, queries: int) -> None:
+    """Send the run's event sink, if any, the ``place`` event of v."""
+    if oracle.events is not None:
+        oracle.events({"event": "place", "v": v, "cluster": cid, "queries": queries})
 
 
 def _exact_report(
@@ -517,7 +517,6 @@ def _exact_report(
     oracle: Oracle,
     state: ClusteringState,
     t0: float,
-    constants: dict,
 ) -> RunReport:
     blocks = state.blocks()
     exact = partition_equal(blocks, instance.labels)
@@ -536,6 +535,5 @@ def _exact_report(
         exact=exact,
         misassigned=mis,
         wall_ms=(time.perf_counter() - t0) * 1000.0,
-        constants=constants,
         extras={"clusters_out": state.num_clusters},
     )

@@ -20,7 +20,7 @@ import numpy as np
 from .clustering import ClusteringState, InvariantError, misassigned_count, partition_equal
 from .estimation import Constants, Estimates, estimates_from_counts, membership_scores
 from .instance import Instance
-from .oracle import Oracle, QueryLogger
+from .oracle import EventSink, Oracle
 from .report import RunReport
 
 BAND_MODES = ("lemma", "text")
@@ -77,9 +77,15 @@ class McState:
     against the other clusters' members, plus the pairs inside the block;
     values a >= 1 are counted by comparison and value 0 is the rest of the
     pair total.
+
+    Each placement sends the oracle's event sink, if any, ``{"event":
+    "place", "v", "cluster", "queries", "how"}``. MC only asks about the
+    vertex it places next, so ``queries`` is the charge since the last one.
     """
 
-    def __init__(self, instance: Instance, rng: np.random.Generator):
+    def __init__(
+        self, instance: Instance, rng: np.random.Generator, oracle: Optional[Oracle] = None
+    ):
         self.clustering = ClusteringState(instance.n)
         self.phase = "init"
         self.estimates: Optional[Estimates] = None
@@ -102,6 +108,9 @@ class McState:
         self.vertices_phase = {"phase1": 0, "phase2": 0}
         self.waiting_total = 0
         self.max_clusters_seen = 0
+        self.oracle = oracle
+        self.events = oracle.events if oracle is not None else None
+        self.charged = 0  # oracle count at the previous placement event
 
     def join(self, v: int, cid: int, how: str) -> None:
         members = self.clustering.members[cid]
@@ -165,6 +174,12 @@ class McState:
         self.clustered[self.n_clustered] = v
         self.n_clustered += 1
         self.placement[v] = how
+        if self.events is not None:
+            charged = self.oracle.count
+            cid = int(self.clustering.label_of[v])
+            queries = charged - self.charged
+            self.events({"event": "place", "v": v, "cluster": cid, "queries": queries, "how": how})
+            self.charged = charged
 
     def refresh_estimates(self, instance: Instance, consts: Constants) -> Estimates:
         self.estimates = estimates_from_counts(
@@ -212,7 +227,7 @@ def phase1(
 
     If the pool runs out first the clustering is already complete and exact.
     """
-    state = McState(instance, rng)
+    state = McState(instance, rng, oracle)
     target = max(1, math.ceil(consts.effective_c * math.log(max(instance.n, 2))))
     before = oracle.count
     while len(state.pool) and state.clustering.max_size() < target:
@@ -323,13 +338,16 @@ def run_mc(
     consts: Constants = Constants(),
     seed: int = 0,
     band: str = "lemma",
-    query_log: Optional[QueryLogger] = None,
-    debug: Optional[dict] = None,
+    events: Optional[EventSink] = None,
 ) -> tuple[ClusteringState, RunReport]:
-    """Run the three phases to completion and report query accounting."""
+    """Run the three phases to completion and report query accounting.
+
+    ``events``, when given, receives the oracle's ``query`` events and one
+    ``place`` event per vertex (see :class:`McState`).
+    """
     t0 = time.perf_counter()
     n = instance.n
-    oracle = Oracle(instance.labels, log=query_log)
+    oracle = Oracle(instance.labels, events)
     rng = np.random.default_rng(seed)
 
     state = phase1(instance, oracle, consts, rng)
@@ -385,6 +403,4 @@ def run_mc(
             "m_final": est.m_threshold if est else None,
         },
     )
-    if debug is not None:
-        debug["state"] = state
     return state.clustering, report

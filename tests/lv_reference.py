@@ -6,25 +6,50 @@ maximum in size order, selects the smallest order index and then the lowest
 vertex id, and applies the documented query schedule: the best cluster, one
 best-membership cluster per dyadic size group of the larger clusters, every
 cluster not yet tried, and a singleton last.
+
+It sends the event stream ``run_lv`` sends to its sink: the oracle's
+``query`` events and one ``place`` event per vertex.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 import numpy as np
 
 from oclust.estimation import membership_scores
 from oclust.oracle import Oracle
+from oclust.solver_lv import run_lv
 
 
-def reference_lv(instance) -> tuple[list, list]:
-    """The trace ``run_lv`` would collect, and the oracle's query log."""
-    labels = instance.labels
+def lv_events(instance, **kwargs) -> list:
+    """Every event ``run_lv`` sends its sink, in order; the run must be exact."""
+    events: list = []
+    _, report = run_lv(instance, 0, events=events.append, **kwargs)
+    assert report.exact
+    return events
+
+
+def lv_trace(instance, **kwargs) -> list:
+    """LV's per-placement ``(v, queries, recovered)`` tuples, rebuilt from its
+    ``place`` events; ``recovered`` counts the vertices of v's truth cluster
+    placed before v."""
+    recovered: Counter = Counter()
+    trace = []
+    for e in lv_events(instance, **kwargs):
+        if e["event"] == "place":
+            label = int(instance.labels[e["v"]])
+            trace.append((e["v"], e["queries"], recovered[label]))
+            recovered[label] += 1
+    return trace
+
+
+def reference_lv(instance) -> list:
+    """The events ``run_lv`` sends to its sink."""
     members: list[list[int]] = []
     unclustered = set(range(instance.n))
-    log: list = []
-    oracle = Oracle(labels, log=lambda *row: log.append(row))
-    recovered = np.zeros(instance.k, dtype=np.int64)
-    trace: list = []
+    events: list = []
+    oracle = Oracle(instance.labels, events.append)
     while unclustered:
         order = sorted(range(len(members)), key=lambda c: (-len(members[c]), c))
         rankable = [c for c in order if len(members[c]) >= 2]
@@ -46,11 +71,11 @@ def reference_lv(instance) -> tuple[list, list]:
                 members[c].append(v)
                 break
         else:
+            c = len(members)
             members.append([v])
         unclustered.remove(v)
-        trace.append((v, used, int(recovered[labels[v]])))
-        recovered[labels[v]] += 1
-    return trace, log
+        events.append({"event": "place", "v": v, "cluster": c, "queries": used})
+    return events
 
 
 def _group_picks(members, order, j, v_scores) -> list[int]:

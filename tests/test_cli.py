@@ -213,3 +213,13 @@ def test_run_query_log_and_report_keys_pinned(tmp_path, capsys, algo):
     assert list(json.loads(out)) == REPORT_KEYS
     digest = hashlib.sha256(log_path.read_bytes()).hexdigest()
     assert digest == PINNED_QUERY_LOG_SHA256[algo]
+
+
+def test_bench_non_integer_thread_count_exits_two(tmp_path, capsys, monkeypatch):
+    cfg = {"ns": [40], "ks": [2], "dists": [["0:0.1,1:0.9", "0:0.9,1:0.1"]], "algos": ["lv"]}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    monkeypatch.setenv("OCL_THREADS", "four")
+    code = main(["bench", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "OCL_THREADS" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import pickle
 import xml.etree.ElementTree as ET
 from itertools import product
 from statistics import mean, median
@@ -249,6 +250,49 @@ class TestRunExperiment:
             monkeypatch.setattr(harness, name, wrapper)
         run_experiment(small_config(trials=1))
         assert seen == ["run_baseline", "run_lv", "run_mc"]
+
+    def test_workers_capped_at_task_count(self, monkeypatch):
+        # a stand-in pool records the worker count and maps in-process, so
+        # no process starts however large OCL_THREADS is
+        asked = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setenv("OCL_THREADS", "5000")
+        reports, _ = run_experiment(pinned_config())
+        assert asked == [16]  # 2 ns x 2 cluster specs x 2 dists x 2 trials
+        assert hashlib.sha256(reports_csv(reports).encode()).hexdigest() == PINNED_SWEEP_SHA256
+        monkeypatch.setenv("OCL_THREADS", "3")
+        reports, _ = run_experiment(small_config())
+        assert asked == [16, 2]  # 2 trials
+        assert all(isinstance(r, RunReport) for r in reports)
+
+    @pytest.mark.parametrize("raw", ["two", "1.5", "0x4"])
+    def test_non_integer_thread_count_is_config_error(self, monkeypatch, raw):
+        monkeypatch.setenv("OCL_THREADS", raw)
+        with pytest.raises(ConfigError, match="OCL_THREADS"):
+            run_experiment(small_config(trials=1))
+
+    def test_trial_returns_picklable_reports(self):
+        cfg = small_config(trials=1)
+        (fp, fm), spec = cfg.dists[0], cfg.cluster_specs[0]
+        runs = (("lv", 1), ("mc", 2))
+        task = (60, 3, spec, fp, fm, 7, runs, cfg.constants, cfg.band, False)
+        reports = harness._run_trial(task)
+        assert [r.algo for r in reports] == ["lv", "mc"]
+        assert pickle.loads(pickle.dumps(reports)) == reports
 
     def test_algos_follow_the_solver_registry(self):
         assert harness.ALGOS == tuple(harness.SOLVERS) == ("baseline", "lv", "mc")

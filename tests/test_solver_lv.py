@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from lv_reference import reference_lv
+from lv_reference import lv_events, lv_trace, reference_lv
 
 from oclust import solver_lv
 from oclust.clustering import partition_equal
@@ -90,9 +90,7 @@ class TestLasVegas:
         fp, fm = bernoulli(0.9), bernoulli(0.1)
         n = 3000
         inst = generate(n, ExplicitSizes((2500, 250, 250)), fp, fm, seed=13)
-        trace = []
-        _, report = run_lv(inst, seed=0, trace=trace)
-        assert report.exact
+        trace = lv_trace(inst)
         m2 = 2 * math.ceil(32.0 * math.log(n) / hellinger2(fp, fm))
         budget = 1 + math.ceil(math.log2(n))
         late = [(v, used) for v, used, recovered in trace if recovered >= m2]
@@ -109,13 +107,6 @@ class TestLasVegas:
 
 # ---------------------------------------------------------------------------
 # batched placement: identical to the round-by-round reference
-
-
-def _run_with_log(inst, **kwargs):
-    log, trace = [], []
-    _, report = run_lv(inst, 0, query_log=lambda *row: log.append(row), trace=trace, **kwargs)
-    assert report.exact
-    return trace, log
 
 
 def _pmf(weights) -> Distribution:
@@ -143,7 +134,7 @@ def lv_instances(draw):
 
 @given(lv_instances())
 def test_batched_lv_matches_reference(inst):
-    assert _run_with_log(inst) == reference_lv(inst)
+    assert lv_events(inst) == reference_lv(inst)
 
 
 @pytest.mark.parametrize(
@@ -157,7 +148,7 @@ def test_batched_lv_matches_reference(inst):
 )
 def test_larger_instances_match_reference(n, spec, dists):
     inst = generate(n, spec, *(from_text(t) for t in dists), seed=n)
-    assert _run_with_log(inst) == reference_lv(inst)
+    assert lv_events(inst) == reference_lv(inst)
 
 
 def _spy_commits(monkeypatch) -> list:
@@ -200,12 +191,12 @@ def test_paranoid_checks_after_every_batch(monkeypatch):
 def test_traces_identical_at_every_cell_budget(monkeypatch):
     inst = generate(400, ExplicitSizes((200, 100, 50, 20) + (1,) * 30), bernoulli(0.85),
                     bernoulli(0.15), seed=8)
-    expected = _run_with_log(inst)
+    expected = lv_events(inst)
     sizes = _spy_commits(monkeypatch)
     # 1: no batch fits; then the least budget in which the minimum batch
     # fits over the whole pool, and a budget far past the default
     for cells in (1, (solver_lv._MIN_BATCH + 1) * inst.q * inst.n, 1 << 22):
         monkeypatch.setattr(solver_lv, "_BATCH_CELLS", cells)
         sizes.clear()
-        assert _run_with_log(inst) == expected
+        assert lv_events(inst) == expected
         assert (max(sizes, default=0) > 1) == (cells > 1)

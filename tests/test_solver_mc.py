@@ -160,8 +160,7 @@ class TestRunMc:
             inst = generate(
                 300, Balanced(1 + seed % 4), bernoulli(0.5), bernoulli(0.5), seed=seed
             )
-            debug = {}
-            _, report = run_mc(inst, Constants(scale=0.05), seed, debug=debug)
+            _, report = run_mc(inst, Constants(scale=0.05), seed)
             assert report.exact
             assert report.extras["side_placements"] == 0
             assert report.queries <= inst.n * inst.k
@@ -172,15 +171,15 @@ class TestRunMc:
             (bernoulli(0.6), bernoulli(0.4), 0.01),
         ]:
             inst = generate(500, Balanced(5), fp, fm, seed=31)
-            debug = {}
-            _, report = run_mc(inst, Constants(scale=scale), 2, debug=debug)
-            state = debug["state"]
-            for v, how in enumerate(state.placement):
-                if how == "query":
-                    cid = state.clustering.label_of[v]
-                    rep_labels = {
-                        inst.labels[u] for u in state.clustering.members[cid] if u != v
-                    }
+            events = []
+            clustering, _ = run_mc(inst, Constants(scale=scale), 2, events=events.append)
+            placed = [e for e in events if e["event"] == "place"]
+            assert sorted(e["v"] for e in placed) == list(range(inst.n))
+            for e in placed:
+                v, cid = e["v"], e["cluster"]
+                assert clustering.label_of[v] == cid
+                if e["how"] == "query":
+                    rep_labels = {inst.labels[u] for u in clustering.members[cid] if u != v}
                     assert inst.labels[v] in rep_labels
 
     def test_no_mergeable_output_clusters(self):
@@ -322,7 +321,7 @@ from oclust.solver_lv import _exact_report
 inst = generate(20, Balanced(2), bernoulli(0.9), bernoulli(0.1), seed=0)
 state = ClusteringState(inst.n)
 state.new_cluster(0)
-_exact_report("lv", inst, 0, Oracle(inst.labels), state, 0.0, {})
+_exact_report("lv", inst, 0, Oracle(inst.labels), state, 0.0)
 """,
     "queries on vertex": """
 import oclust.solver_lv as lv

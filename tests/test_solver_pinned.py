@@ -5,7 +5,7 @@ tie-break or a phase split shows up here even when the run stays exact. The
 digests were recorded on the pre-incremental solvers; a speedup must keep
 them. Regenerate only for a deliberate, documented behaviour change:
 
-    PYTHONPATH=src python -m tests.test_solver_pinned
+    PYTHONPATH=src python tests/test_solver_pinned.py
 """
 
 from __future__ import annotations
@@ -13,11 +13,11 @@ from __future__ import annotations
 import hashlib
 
 import pytest
+from lv_reference import lv_trace
 
 from oclust.divergence import from_text
 from oclust.estimation import Constants
 from oclust.instance import Balanced, ExplicitSizes, Skewed, generate
-from oclust.solver_lv import run_lv
 from oclust.solver_mc import run_mc
 
 STRONG = ("0:0.9,1:0.1", "0:0.1,1:0.9")
@@ -59,10 +59,7 @@ def _digest(obj) -> str:
 
 
 def lv_digest(name: str, shift: int) -> str:
-    trace: list = []
-    _, report = run_lv(_instance(name, shift), 0, trace=trace)
-    assert report.exact
-    return _digest(trace)
+    return _digest(lv_trace(_instance(name, shift)))
 
 
 def mc_digest(name: str, seed: int) -> str:
@@ -154,8 +151,7 @@ def test_lv_trace_pinned(name):
 def test_lv_paranoid_cache_keeps_pinned_trace(name):
     # paranoid mode checks every cached score and best cluster against a
     # from-scratch recomputation on every round
-    trace: list = []
-    run_lv(_instance(name), 0, trace=trace, paranoid=True)
+    trace = lv_trace(_instance(name), paranoid=True)
     assert _digest(trace) == LV_DIGESTS[f"{name}/+0"]
 
 
