@@ -29,7 +29,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # OSError: an input or output path
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -3,14 +3,21 @@
 An instance is n elements, a ground-truth partition into k clusters, and an
 upper-triangular matrix W of similarity values: intra-cluster entries are
 i.i.d. draws from ``f_plus``, inter-cluster entries from ``f_minus``. W is
-stored as a flat triangular array of support indices (one byte per pair for
-q <= 256), giving O(1) pair lookup.
+held once, as an n x n array of support indices (one byte per pair for
+q <= 256): ``generate`` and ``load`` fill its upper triangle in place, and
+the first ``SideInfo.dense()`` call mirrors it into the lower one. Files and
+fingerprints take W's flat row-major upper triangle from the array's rows
+(``generate`` hashes each drawing step instead), so neither copies W.
 """
 
 from __future__ import annotations
 
+import io
 import json
+import os
+import stat
 import struct
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from hashlib import sha256
@@ -136,50 +143,98 @@ def pair_uniforms(seed: int, lo: int, hi: int) -> np.ndarray:
 
 
 class SideInfo:
-    """The matrix W as a flat upper-triangular array of support indices."""
+    """The matrix W of support indices, held as one n x n array (uint8, or
+    uint16 for q > 256).
 
-    __slots__ = ("n", "support", "tri", "_dense")
+    Only the upper triangle, ``w[u, v]`` for u < v, is always valid; its row
+    slices ``w[u, u + 1:]`` in order are W's flat row-major triangle, the
+    form that files and fingerprints use. The first :meth:`dense` call fills
+    the lower triangle and zeroes the diagonal in place, then marks the
+    array read-only; nothing else reads below the diagonal.
+    """
+
+    __slots__ = ("n", "support", "_w")
 
     def __init__(self, n: int, support: Support, tri: np.ndarray):
+        """W from ``tri``, its flat row-major upper triangle."""
         expected = n * (n - 1) // 2
         if tri.shape != (expected,):
             raise ValueError(f"side_info has {tri.shape[0]} entries, expected {expected}")
-        if tri.size and int(tri.max(initial=0)) >= support.q:
-            raise ValueError("side_info contains an out-of-range support index")
-        tri = np.ascontiguousarray(tri)
-        tri.setflags(write=False)
-        self.n = n
-        self.support = support
-        self.tri = tri
-        self._dense = None
+        _check_range(tri, support.q)
+        w = np.empty((n, n), dtype=tri.dtype)
+        starts = _row_starts(n)
+        for u in range(n - 1):
+            w[u, u + 1 :] = tri[starts[u] : starts[u + 1]]
+        self.n, self.support, self._w = n, support, w
+
+    @classmethod
+    def _wrap(cls, n: int, support: Support, w: np.ndarray) -> SideInfo:
+        """Take ``w``, whose upper triangle holds W, without copying it."""
+        side = cls.__new__(cls)
+        side.n, side.support, side._w = n, support, w
+        return side
 
     @property
     def q(self) -> int:
         return self.support.q
 
+    @property
+    def dtype(self) -> np.dtype:
+        return self._w.dtype
+
+    def upper_rows(self):
+        """The views ``w[u, u + 1:]``, u = 0..n-2: W's flat triangle in rows."""
+        w = self._w
+        return (w[u, u + 1 :] for u in range(self.n - 1))
+
+    @property
+    def tri(self) -> np.ndarray:
+        """A fresh copy of W's flat row-major upper triangle."""
+        out = np.empty(self.n * (self.n - 1) // 2, dtype=self._w.dtype)
+        for start, row in zip(_row_starts(self.n).tolist(), self.upper_rows()):
+            out[start : start + row.size] = row
+        return out
+
     def value_index(self, u: int, v: int) -> int:
-        return int(self.tri[pair_index(u, v, self.n)])
+        if u == v:
+            raise ValueError("no diagonal entries")
+        return int(self._w[min(u, v), max(u, v)])
 
     def dense(self) -> np.ndarray:
-        """Full symmetric n x n index matrix (diagonal unused, zero).
+        """Full symmetric n x n index matrix (diagonal zero), read-only.
 
-        Built once and cached; solvers use it for vectorized row gathers.
+        The first call mirrors the upper triangle in place; solvers use the
+        result for vectorized row gathers.
         """
-        if self._dense is None:
-            n = self.n
-            m = np.zeros((n, n), dtype=self.tri.dtype)
-            starts = _row_starts(n)
-            for u in range(n - 1):
-                m[u, u + 1 :] = self.tri[starts[u] : starts[u] + n - u - 1]
-            # mirror the upper triangle one tile at a time: a whole-matrix
-            # m + m.T reads column-wise across all of memory and costs ~10x
-            b = 256
-            for i in range(0, n, b):
-                for j in range(0, i + 1, b):
-                    m[i : i + b, j : j + b] += m[j : j + b, i : i + b].T
-            m.setflags(write=False)
-            self._dense = m
-        return self._dense
+        w = self._w
+        if w.flags.writeable:  # not mirrored yet
+            with _MIRROR_LOCK:  # a second thread must not write after setflags
+                if w.flags.writeable:
+                    _mirror(w)
+                    w.setflags(write=False)
+        return w
+
+
+def _mirror(w: np.ndarray) -> None:
+    """Copy the upper triangle of ``w`` into the lower one and zero the
+    diagonal, whatever they held."""
+    b = _MIRROR_TILE
+    for i in range(0, w.shape[0], b):
+        for j in range(0, i, b):
+            w[i : i + b, j : j + b] = w[j : j + b, i : i + b].T
+        upper = np.triu(w[i : i + b, i : i + b], 1)
+        np.add(upper, upper.T, out=w[i : i + b, i : i + b])
+
+
+# Edge of the square tiles _mirror copies one at a time: a whole-matrix
+# transpose reads column-wise across all of memory and costs ~10x.
+_MIRROR_TILE = 256
+_MIRROR_LOCK = threading.Lock()
+
+
+def _check_range(tri: np.ndarray, q: int) -> None:
+    if tri.size and int(tri.max()) >= q:
+        raise ValueError("side_info contains an out-of-range support index")
 
 
 def _dtype_for_q(q: int) -> np.dtype:
@@ -239,16 +294,14 @@ class Instance:
         return self._truth
 
     def fingerprint(self) -> str:
-        """Short sha256 of n, seed, labels, W and both distributions; hashed
-        on the first call only, as every field is immutable."""
+        """Short sha256 of n, seed, labels, W (its flat row-major triangle)
+        and both distributions; hashed once, as every field is immutable:
+        by :func:`generate` as it draws W, else on the first call."""
         if self._fingerprint is None:
-            h = sha256()
-            h.update(struct.pack("<qq", self.n, self.seed))
-            h.update(self.labels.tobytes())
-            h.update(self.side.tri.tobytes())
-            h.update(to_text(self.f_plus).encode())
-            h.update(to_text(self.f_minus).encode())
-            self._fingerprint = h.hexdigest()[:12]
+            h = _w_hasher(self.n, self.seed, self.labels)
+            for row in self.side.upper_rows():
+                h.update(row)
+            self._fingerprint = _w_digest(h, self.f_plus, self.f_minus)
         return self._fingerprint
 
     def __eq__(self, other):
@@ -258,10 +311,26 @@ class Instance:
             self.n == other.n
             and self.seed == other.seed
             and np.array_equal(self.labels, other.labels)
-            and np.array_equal(self.side.tri, other.side.tri)
+            and all(map(np.array_equal, self.side.upper_rows(), other.side.upper_rows()))
             and self.f_plus == other.f_plus
             and self.f_minus == other.f_minus
         )
+
+
+def _w_hasher(n: int, seed: int, labels: np.ndarray):
+    """sha256 fed the fields the fingerprint hashes before W."""
+    h = sha256()
+    h.update(struct.pack("<qq", n, seed))
+    h.update(labels.tobytes())
+    return h
+
+
+def _w_digest(h, f_plus: Distribution, f_minus: Distribution) -> str:
+    """The fingerprint, once ``h`` from :func:`_w_hasher` has been fed W's
+    flat row-major triangle."""
+    h.update(to_text(f_plus).encode())
+    h.update(to_text(f_minus).encode())
+    return h.hexdigest()[:12]
 
 
 # Pairs drawn per step of generate. Its float64 temporaries stay
@@ -315,9 +384,11 @@ def generate(
 
     q = f_plus.q
     thr_plus, thr_minus = f_plus.cdf[: q - 1], f_minus.cdf[: q - 1]
-    npairs = n * (n - 1) // 2
-    tri = np.empty(npairs, dtype=_dtype_for_q(q))
-    starts = _row_starts(n)  # starts[n - 1] == npairs
+    w = np.empty((n, n), dtype=_dtype_for_q(q))
+    starts = _row_starts(n)  # starts[n - 1] is the number of pairs
+    # each step's pairs are contiguous in the flat triangle, so W is hashed
+    # here at a fraction of the cost of hashing the finished array row by row
+    h = _w_hasher(n, seed, labels)
     r0 = 0
     while r0 < n - 1:
         # whole rows r0..r1-1, about _GENERATE_CHUNK pairs and at least one row
@@ -333,13 +404,20 @@ def generate(
         same = np.repeat(np.tile((True, False), r1 - r0), runs)
         # every pair by f_minus, then the same-cluster pairs, usually a
         # minority, again by f_plus
-        out = tri[lo:hi]
-        _cdf_index(thr_minus, u, out)
-        intra = np.empty(np.count_nonzero(same), dtype=tri.dtype)
+        vals = np.empty(hi - lo, dtype=w.dtype)
+        _cdf_index(thr_minus, u, vals)
+        intra = np.empty(np.count_nonzero(same), dtype=w.dtype)
         _cdf_index(thr_plus, u[same], intra)
-        out[same] = intra
+        vals[same] = intra
+        h.update(vals)
+        # the step's stretch of the flat triangle, into the upper rows of w
+        offsets = (starts[r0 : r1 + 1] - lo).tolist()
+        for r, a, b in zip(range(r0, r1), offsets, offsets[1:]):
+            w[r, r + 1 :] = vals[a:b]
         r0 = r1
-    return Instance(labels, SideInfo(n, f_plus.support, tri), f_plus, f_minus, seed)
+    inst = Instance(labels, SideInfo._wrap(n, f_plus.support, w), f_plus, f_minus, seed)
+    inst._fingerprint = _w_digest(h, f_plus, f_minus)
+    return inst
 
 
 # ---------------------------------------------------------------------------
@@ -369,15 +447,18 @@ def save(instance: Instance, path: str | Path, sidecar: bool | None = None) -> P
         "seed": instance.seed,
         "f_plus": to_text(instance.f_plus),
         "f_minus": to_text(instance.f_minus),
-        "w_dtype": instance.side.tri.dtype.str,
+        "w_dtype": instance.side.dtype.str,
     }
     blob = json.dumps(header, separators=(",", ":")).encode()
-    with open(path, "wb") as fh:
+    # W goes out one row at a time: a buffer of 256 KiB, not the default
+    # 8 KiB, turns that into a few large writes
+    with open(path, "wb", buffering=1 << 18) as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
         fh.write(instance.labels.astype("<i4").tobytes())
-        fh.write(instance.side.tri.tobytes())
+        for row in instance.side.upper_rows():
+            fh.write(row)
     if sidecar or (sidecar is None and instance.n <= SIDECAR_MAX_N):
         doc = {
             "n": instance.n,
@@ -386,24 +467,38 @@ def save(instance: Instance, path: str | Path, sidecar: bool | None = None) -> P
             "f_plus": header["f_plus"],
             "f_minus": header["f_minus"],
             "clusters": [list(block) for block in instance.truth],
-            "w_indices": instance.side.tri.tolist(),
+            "w_indices": [x for row in instance.side.upper_rows() for x in row.tolist()],
         }
         Path(str(path) + ".json").write_text(json.dumps(doc, indent=1))
     return path
 
 
 def load(path: str | Path) -> Instance:
-    """Read an instance container; re-validates every invariant on load."""
-    data = Path(path).read_bytes()
-    if data[:5] != MAGIC:
-        raise InstanceFormatError(f"bad magic {data[:5]!r}, expected {MAGIC!r}", 0)
-    if len(data) < 9:
-        raise InstanceFormatError("truncated header length", len(data))
-    (hlen,) = struct.unpack("<I", data[5:9])
-    if len(data) < 9 + hlen:
-        raise InstanceFormatError("truncated header", len(data))
+    """Read an instance container; re-validates every invariant on load.
+
+    W is read straight into the array the instance keeps.
+    """
+    with open(path, "rb") as fh:
+        info = os.fstat(fh.fileno())
+        if not stat.S_ISREG(info.st_mode):  # a pipe's size is known only once read
+            data = fh.read()
+            return _read(io.BytesIO(data), len(data))
+        return _read(fh, info.st_size)
+
+
+def _read(fh, size: int) -> Instance:
+    """The instance in the open container ``fh`` of ``size`` bytes. Every
+    block's length is checked against ``size`` before it is read."""
+    head = fh.read(9)
+    if head[:5] != MAGIC:
+        raise InstanceFormatError(f"bad magic {head[:5]!r}, expected {MAGIC!r}", 0)
+    if size < 9:
+        raise InstanceFormatError("truncated header length", size)
+    (hlen,) = struct.unpack("<I", head[5:9])
+    if size < 9 + hlen:
+        raise InstanceFormatError("truncated header", size)
     try:
-        header = json.loads(data[9 : 9 + hlen].decode("utf-8"))
+        header = json.loads(fh.read(hlen).decode("utf-8"))
     except (ValueError, RecursionError) as exc:  # bad UTF-8, bad JSON, deep nesting
         raise InstanceFormatError(f"header is not valid JSON: {exc}", 9) from exc
     if not isinstance(header, dict):
@@ -434,21 +529,33 @@ def load(path: str | Path) -> Instance:
 
     off = 9 + hlen
     labels_bytes = n * 4
-    if len(data) < off + labels_bytes:
-        raise InstanceFormatError("truncated labels block", len(data))
-    labels = np.frombuffer(data, dtype="<i4", count=n, offset=off).astype(np.int32)
+    if size < off + labels_bytes:
+        raise InstanceFormatError("truncated labels block", size)
+    labels = np.frombuffer(fh.read(labels_bytes), dtype="<i4").astype(np.int32)
 
     off += labels_bytes
     npairs = n * (n - 1) // 2
     tri_bytes = npairs * w_dtype.itemsize
-    if len(data) < off + tri_bytes:
-        raise InstanceFormatError("truncated side-information block", len(data))
-    if len(data) > off + tri_bytes:
+    if size < off + tri_bytes:
+        raise InstanceFormatError("truncated side-information block", size)
+    if size > off + tri_bytes:
         raise InstanceFormatError("trailing bytes after side information", off + tri_bytes)
-    tri = np.frombuffer(data, dtype=w_dtype, count=npairs, offset=off).copy()
+    # the triangle lands packed at the front of W's own array
+    w = np.empty((n, n), dtype=w_dtype)
+    flat = w.reshape(-1)
+    got = fh.readinto(flat[:npairs].view(np.uint8))
+    if got != tri_bytes:  # the file shrank while it was read
+        raise InstanceFormatError("truncated side-information block", off + got)
 
     try:
-        inst = Instance(labels, SideInfo(n, f_plus.support, tri), f_plus, f_minus, seed)
+        _check_range(flat[:npairs], f_plus.q)
+        # then each row moves to w[u, u + 1:], the last row first: a row's
+        # place never starts before its packed stretch, so no row still to
+        # move is overwritten
+        starts = _row_starts(n).tolist()
+        for u in range(n - 2, -1, -1):
+            w[u, u + 1 :] = flat[starts[u] : starts[u] + n - u - 1]
+        inst = Instance(labels, SideInfo._wrap(n, f_plus.support, w), f_plus, f_minus, seed)
     except ValueError as exc:
         raise InstanceFormatError(f"invariant violation: {exc}", off) from exc
     if _header_field(header, int, "k") != inst.k:

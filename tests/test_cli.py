@@ -102,6 +102,28 @@ def test_run_malformed_instance_header_exits_two(tmp_path, capsys, field, value)
     assert "byte offset 9" in capsys.readouterr().err
 
 
+def test_run_missing_instance_file_exits_two(tmp_path, capsys):
+    code = main(["run", "--algo", "lv", "--instance", str(tmp_path / "missing.oclb")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "missing.oclb" in err
+
+
+def test_run_query_log_in_missing_directory_exits_two(tmp_path, capsys):
+    path = tmp_path / "demo.oclb"
+    main(
+        ["gen", "--n", "20", "--k", "2", "--fplus", "0:0.1,1:0.9",
+         "--fminus", "0:0.9,1:0.1", "--out", str(path), "--sidecar", "no"]
+    )
+    capsys.readouterr()
+    log = tmp_path / "nodir" / "q.csv"
+    code = main(["run", "--algo", "lv", "--instance", str(path), "--query-log", str(log)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "q.csv" in err
+    assert not log.parent.exists()
+
+
 def test_bounds_forms(capsys):
     code, out = run_cli(
         capsys,

@@ -1,6 +1,10 @@
 import hashlib
 import json
+import os
 import struct
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +26,20 @@ from oclust.instance import (
     pair_uniforms,
     save,
 )
+
+WEAK3 = ("0:0.2,1:0.3,2:0.5", "0:0.5,1:0.3,2:0.2")
+
+
+def wide_pmfs():
+    """Two 300-value pmfs, so W is stored as uint16; both have zero-mass values."""
+    from oclust.divergence import Distribution, Support
+
+    rng = np.random.default_rng(8)
+    w_plus, w_minus = rng.gamma(1.0, size=300), rng.gamma(1.0, size=300)
+    w_plus[10:60] = 0.0
+    w_minus[200:] = 0.0
+    wide = Support(tuple(range(300)))
+    return Distribution(wide, w_plus / w_plus.sum()), Distribution(wide, w_minus / w_minus.sum())
 
 
 class TestClusterSizes:
@@ -104,18 +122,6 @@ class TestGenerate:
     def test_output_independent_of_generation_step(self, monkeypatch, chunk):
         # one row per step, steps ending mid-cluster, and one step in all,
         # each against the reference expression
-        from oclust.divergence import Distribution, Support
-
-        # q = 300 stores W as uint16; both pmfs have zero-mass values
-        rng = np.random.default_rng(8)
-        w_plus, w_minus = rng.gamma(1.0, size=300), rng.gamma(1.0, size=300)
-        w_plus[10:60] = 0.0
-        w_minus[200:] = 0.0
-        wide = Support(tuple(range(300)))
-        wide_pmfs = (
-            Distribution(wide, w_plus / w_plus.sum()),
-            Distribution(wide, w_minus / w_minus.sum()),
-        )
         binary = (from_text("0:0.1,1:0.9"), from_text("0:0.9,1:0.1"))
         cases = [
             (60, ExplicitSizes((30, 9, 1, 20)), ("0:0.2,1:0.3,2:0.5", "0:0.5,1:0.3,2:0.2")),
@@ -128,7 +134,7 @@ class TestGenerate:
             (2, Balanced(2), binary),
             (25, ExplicitSizes((1,) * 25), binary),
             (30, Balanced(1), binary),
-            (60, ExplicitSizes((20, 1, 9, 30)), wide_pmfs),
+            (60, ExplicitSizes((20, 1, 9, 30)), wide_pmfs()),
         ]
         want = []
         for n, spec, (fp, fm) in cases:
@@ -209,6 +215,148 @@ class TestGenerate:
         assert np.array_equal(dense, dense.T) and not dense.diagonal().any()
 
 
+class TestOneArray:
+    """W is one n x n array: its upper rows must give the bytes the flat
+    triangle gave, and only dense() may fill the rest."""
+
+    PMFS = {
+        "binary": lambda: (bernoulli(0.9), bernoulli(0.1)),
+        "weak3": lambda: tuple(from_text(t) for t in WEAK3),
+        "wide": wide_pmfs,
+    }
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 257, 600])
+    @pytest.mark.parametrize("pmfs", sorted(PMFS))
+    def test_bytes_match_the_flat_reference(self, tmp_path, pmfs, n):
+        fp, fm = self.PMFS[pmfs]()
+        spec, seed = Balanced(min(3, n)), 11
+        dtype = np.dtype(np.uint16 if fp.q > 256 else np.uint8)
+        ref = TestGenerate.reference_tri(n, spec, fp, fm, seed).astype(dtype)
+        inst = generate(n, spec, fp, fm, seed)
+        assert inst.side.tri.dtype == dtype and np.array_equal(inst.side.tri, ref)
+
+        labels = inst.labels.astype("<i4").tobytes()
+        texts = (to_text(fp) + to_text(fm)).encode()
+        digest = hashlib.sha256(struct.pack("<qq", n, seed) + labels + ref.tobytes() + texts)
+        assert inst.fingerprint() == digest.hexdigest()[:12]
+
+        header = {
+            "version": 1, "n": n, "k": inst.k, "q": fp.q, "seed": seed,
+            "f_plus": to_text(fp), "f_minus": to_text(fm), "w_dtype": dtype.str,
+        }
+        raw = json.dumps(header, separators=(",", ":")).encode()
+        path = save(inst, tmp_path / "inst.oclb")
+        assert path.read_bytes() == b"OCLB1" + struct.pack("<I", len(raw)) + raw + labels + ref.tobytes()
+        sidecar = tmp_path / "inst.oclb.json"
+        if n <= instance_mod.SIDECAR_MAX_N:
+            assert json.loads(sidecar.read_text())["w_indices"] == ref.tolist()
+
+        again = load(path)
+        dense = again.side.dense()
+        assert dense.dtype == dtype and not dense.flags.writeable
+        assert np.array_equal(dense, dense.T) and not dense.diagonal().any()
+        assert np.array_equal(dense[np.triu_indices(n, k=1)], ref)
+        # inst is still unmirrored
+        assert inst == again and again == inst
+        assert again.fingerprint() == inst.fingerprint()
+        assert np.array_equal(inst.side.dense(), dense)
+
+    def test_dense_overwrites_whatever_lies_below_the_diagonal(self):
+        # load leaves the packed triangle's stale bytes below the diagonal
+        tri = np.arange(300 * 299 // 2, dtype=np.int64) % 3
+        side = instance_mod.SideInfo(300, from_text(WEAK3[0]).support, tri)
+        side._w[np.tril_indices(300)] = 2
+        dense = side.dense()
+        assert np.array_equal(dense, dense.T) and not dense.diagonal().any()
+        assert np.array_equal(dense[np.triu_indices(300, k=1)], tri)
+
+    def test_first_dense_calls_from_many_threads(self):
+        # every thread must get the finished mirror; none may write into the
+        # array after another marked it read-only
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for seed in range(5):
+                inst = generate(600, Balanced(3), bernoulli(0.6), bernoulli(0.4), seed=seed)
+                got, errors = [], []
+
+                def first_dense():
+                    try:
+                        got.append(inst.side.dense())
+                    except Exception as exc:  # reported by the assert below
+                        errors.append(exc)
+
+                threads = [threading.Thread(target=first_dense) for _ in range(6)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30)
+                assert not any(t.is_alive() for t in threads) and not errors
+                assert len(got) == 6 and all(d is got[0] for d in got)
+                assert np.array_equal(got[0], got[0].T) and not got[0].diagonal().any()
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_tri_is_a_fresh_copy(self):
+        inst = generate(50, Balanced(2), bernoulli(0.9), bernoulli(0.1), seed=1)
+        tri = inst.side.tri
+        tri[:] = 1 - tri
+        assert not np.array_equal(inst.side.tri, tri)
+        assert inst.side.value_index(0, 1) == 1 - tri[0]
+
+
+@pytest.fixture
+def traced():
+    """Memory traced by tracemalloc, which numpy reports its data buffers to.
+    ``traced()`` is the memory in use now and the peak since the last call."""
+
+    def now_and_peak():
+        used, peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        return used, peak
+
+    tracemalloc.start()
+    yield now_and_peak
+    tracemalloc.stop()
+
+
+class TestMemory:
+    """W's n^2 bytes are held once: no step makes a second whole copy."""
+
+    N = 1500
+    # buffers that do not grow with n: the file's write buffer, row offsets,
+    # labels
+    SLACK = 1 << 19
+    # plus one generation step's temporaries: about 2^16 pairs of float64
+    # uniforms, for the step ending and the next starting, and their masks
+    GENERATE_SLACK = 3 << 19
+
+    def test_load_dense_fingerprint(self, tmp_path, traced):
+        inst = generate(self.N, Balanced(5), bernoulli(0.9), bernoulli(0.1), seed=3)
+        path = save(inst, tmp_path / "inst.oclb")
+        del inst
+        start, _ = traced()
+        inst = load(path)
+        inst.side.dense()
+        inst.fingerprint()
+        _, peak = traced()
+        assert peak - start <= self.N**2 + self.SLACK
+
+    def test_generate_save_fingerprint_dense(self, tmp_path, traced):
+        # a first, small call makes the imports numpy defers to first use
+        generate(10, Balanced(5), bernoulli(0.9), bernoulli(0.1), seed=3)
+        start, _ = traced()
+        inst = generate(self.N, Balanced(5), bernoulli(0.9), bernoulli(0.1), seed=3)
+        with_w, peak = traced()
+        assert peak - start <= self.N**2 + self.GENERATE_SLACK
+        save(inst, tmp_path / "inst.oclb")
+        inst.fingerprint()
+        inst.side.dense()
+        _, peak = traced()
+        # once W exists, saving, hashing and mirroring it allocate nothing of its size
+        assert peak - with_w <= self.SLACK
+
+
 class TestPersistence:
     def test_round_trip(self, tmp_path):
         inst = generate(100, Balanced(4), bernoulli(0.85), bernoulli(0.15), seed=21)
@@ -242,6 +390,26 @@ class TestPersistence:
         assert again.fingerprint() == expected  # hashed here, once
         assert again.fingerprint() == expected
         assert len(calls) == 1
+
+    def test_load_from_a_pipe(self, tmp_path):
+        # a pipe has no size to check the blocks against before reading them
+        inst = generate(60, Balanced(3), bernoulli(0.9), bernoulli(0.1), seed=4)
+        blob = save(inst, tmp_path / "inst.oclb", sidecar=False).read_bytes()
+        for data in (blob, blob[:-5]):
+            fifo = tmp_path / "pipe"
+            os.mkfifo(fifo)
+            writer = threading.Thread(target=fifo.write_bytes, args=(data,))
+            writer.start()
+            try:
+                if data == blob:
+                    assert load(fifo) == inst
+                else:
+                    with pytest.raises(InstanceFormatError, match="truncated side-information"):
+                        load(fifo)
+            finally:
+                writer.join(timeout=30)
+                fifo.unlink()
+            assert not writer.is_alive()
 
     def test_sidecar_suppressed_for_large_n(self, tmp_path):
         inst = generate(300, Balanced(2), bernoulli(0.9), bernoulli(0.1), seed=2)
