@@ -8,10 +8,13 @@ from statistics import median
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from mc_reference import mc_events, reference_mc
 
 from oclust import solver_mc
 from oclust.clustering import partition_equal
-from oclust.divergence import bernoulli, from_text
+from oclust.divergence import Distribution, Support, bernoulli, from_text
 from oclust.estimation import Constants, pooled_estimates
 from oclust.instance import Balanced, ExplicitSizes, generate
 from oclust.oracle import Oracle
@@ -299,6 +302,61 @@ class TestJoinBatch:
             before.n_inter,
             before.n_clustered,
         )
+
+
+# ---------------------------------------------------------------------------
+# incremental state: identical to the round-by-round reference
+
+
+def _pmf(weights) -> Distribution:
+    w = np.asarray(weights, dtype=float)
+    return Distribution(Support(tuple(range(w.size))), w / w.sum())
+
+
+@st.composite
+def mc_cases(draw):
+    q = draw(st.sampled_from((2, 3, 5)))
+    weights = st.lists(st.integers(0, 6), min_size=q, max_size=q).filter(any)
+    wp = draw(weights)
+    # useless (h = 0), mirrored (well separated, so phase 3 includes for free) or any
+    wm = draw(st.sampled_from(("same", "mirror", "other")))
+    wm = wp if wm == "same" else wp[::-1] if wm == "mirror" else draw(weights)
+    fp, fm = _pmf(wp), _pmf(wm)
+    n = draw(st.integers(1, 120))
+    kind = draw(st.sampled_from(("one", "balanced", "singletons")))
+    if kind == "one":
+        spec = Balanced(1)
+    elif kind == "balanced":
+        spec = Balanced(draw(st.integers(1, min(n, 6))))
+    else:
+        big = draw(st.integers(1, n))
+        spec = ExplicitSizes((big,) + (1,) * (n - big))
+    inst = generate(n, spec, fp, fm, seed=draw(st.integers(0, 2**16)))
+    consts = Constants(scale=draw(st.sampled_from((0.0005, 0.001, 0.003, 0.01))))
+    return inst, consts, draw(st.integers(0, 2**16)), draw(st.sampled_from(solver_mc.BAND_MODES))
+
+
+@settings(max_examples=200)
+@given(mc_cases())
+def test_mc_matches_reference(case):
+    assert mc_events(*case) == reference_mc(*case)
+
+
+@pytest.mark.parametrize(
+    "n, spec, dists, scale",
+    [
+        (300, Balanced(3), ("0:0.1,1:0.9", "0:0.9,1:0.1"), 0.01),
+        (300, ExplicitSizes((150, 60, 30) + (1,) * 60), ("0:0.1,1:0.9", "0:0.9,1:0.1"), 0.005),
+        (240, Balanced(4), ("0:0.2,1:0.3,2:0.5", "0:0.5,1:0.3,2:0.2"), 0.003),
+        (200, Balanced(2), ("0:0.1,1:0.1,2:0.2,3:0.2,4:0.4", "0:0.4,1:0.2,2:0.2,3:0.1,4:0.1"), 0.005),
+    ],
+)
+@pytest.mark.parametrize("band", solver_mc.BAND_MODES)
+def test_larger_instances_match_reference(n, spec, dists, scale, band):
+    inst = generate(n, spec, *(from_text(t) for t in dists), seed=n)
+    events = mc_events(inst, Constants(scale=scale), 5, band)
+    assert any(e.get("how") == "side" for e in events)
+    assert events == reference_mc(inst, Constants(scale=scale), 5, band)
 
 
 # Each snippet breaks one guarantee on purpose and must still raise under -O,
