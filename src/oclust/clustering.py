@@ -67,6 +67,20 @@ class ClusteringState:
         return max((len(m) for m in self.members), default=0)
 
 
+def promote(order, pos, size, cid: int) -> None:
+    """Move cluster ``cid``, which just grew, forward in ``order``, a list of
+    cluster ids by (-size, id); ``pos`` maps an id to its index in ``order``
+    and ``size`` an id to its size."""
+    key = (-size(cid), cid)
+    i = int(pos[cid])
+    while i > 0 and (-size(order[i - 1]), order[i - 1]) > key:
+        order[i] = order[i - 1]
+        pos[order[i]] = i
+        i -= 1
+    order[i] = cid
+    pos[cid] = i
+
+
 def partition_equal(blocks, truth_labels: np.ndarray) -> bool:
     """True iff the blocks are exactly the truth partition: each of the ids
     0..n-1 lies in exactly one block, and each block is one whole truth

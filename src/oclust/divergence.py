@@ -140,10 +140,22 @@ def _check_pair(f: Distribution, g: Distribution) -> None:
 def hellinger2(f: Distribution, g: Distribution) -> float:
     """Squared Hellinger divergence: 0.5 * sum_i (sqrt(f_i) - sqrt(g_i))^2."""
     _check_pair(f, g)
-    d = np.sqrt(f.probs_array) - np.sqrt(g.probs_array)
-    h2 = 0.5 * float(np.dot(d, d))
+    return hellinger2_probs(f.probs, g.probs)
+
+
+def hellinger2_probs(f: Iterable[float], g: Iterable[float]) -> float:
+    """:func:`hellinger2` of two probability sequences of one length.
+
+    The terms are summed left to right with one rounding per operation. A
+    BLAS dot product may fuse a multiply and an add, depending on the CPU it
+    dispatches to, and so change the last bit of the result.
+    """
+    s = 0.0
+    for a, b in zip(f, g):
+        d = math.sqrt(a) - math.sqrt(b)
+        s += d * d
     # rounding can push the value marginally outside [0, 1]
-    return min(max(h2, 0.0), 1.0)
+    return min(max(0.5 * s, 0.0), 1.0)
 
 
 def hellinger(f: Distribution, g: Distribution) -> float:

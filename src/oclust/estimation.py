@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .divergence import Distribution, Support, hellinger, hellinger2
+from .divergence import Distribution, Support, hellinger2, hellinger2_probs
 from .instance import SideInfo
 
 
@@ -61,7 +62,13 @@ class Constants:
 
 @dataclass(frozen=True)
 class Estimates:
-    """Pooled empirical distributions and the size threshold they imply.
+    """Pooled pair-value counts, the Hellinger divergence h between their
+    empirical distributions, and the size threshold h implies.
+
+    ``intra_counts`` counts the values of ``n_intra_pairs`` within-cluster
+    pairs, ``inter_counts`` those of ``n_inter_pairs`` cross-cluster pairs;
+    :attr:`p_plus` and :attr:`p_minus` are their distributions, built on
+    first use (None without pairs).
 
     ``m_threshold is None`` means "no finite threshold yet, keep querying":
     either one side has no pairs to estimate from, or the two estimates
@@ -69,12 +76,25 @@ class Estimates:
     estimates degrade to the query-only baseline instead of looping.
     """
 
-    p_plus: Optional[Distribution]
-    p_minus: Optional[Distribution]
     h: Optional[float]
     m_threshold: Optional[int]
-    n_intra_pairs: int = 0
-    n_inter_pairs: int = 0
+    n_intra_pairs: int
+    n_inter_pairs: int
+    intra_counts: tuple[int, ...]
+    inter_counts: tuple[int, ...]
+    support: Support
+
+    @cached_property
+    def p_plus(self) -> Optional[Distribution]:
+        return _pmf(self.support, self.intra_counts, self.n_intra_pairs)
+
+    @cached_property
+    def p_minus(self) -> Optional[Distribution]:
+        return _pmf(self.support, self.inter_counts, self.n_inter_pairs)
+
+
+def _pmf(support: Support, counts: tuple[int, ...], pairs: int) -> Optional[Distribution]:
+    return Distribution(support, [c / pairs for c in counts]) if pairs > 0 else None
 
 
 def threshold_from_h(h: Optional[float], consts: Constants, n: int) -> Optional[int]:
@@ -157,8 +177,8 @@ def pooled_estimates(
 
 
 def estimates_from_counts(
-    intra: np.ndarray,
-    inter: np.ndarray,
+    intra: Sequence[int],
+    inter: Sequence[int],
     n_intra: int,
     n_inter: int,
     support: Support,
@@ -166,18 +186,37 @@ def estimates_from_counts(
     n: int,
 ) -> Estimates:
     """Estimates from pooled pair-value counts: ``intra`` over ``n_intra``
-    within-cluster pairs, ``inter`` over ``n_inter`` cross-cluster pairs."""
-    p_plus = Distribution(support, intra / n_intra) if n_intra > 0 else None
-    p_minus = Distribution(support, inter / n_inter) if n_inter > 0 else None
-    h = hellinger(p_plus, p_minus) if (p_plus and p_minus) else None
+    within-cluster pairs, ``inter`` over ``n_inter`` cross-cluster pairs.
+
+    h is :func:`~oclust.divergence.hellinger2_probs` of the count ratios, the
+    value :func:`~oclust.divergence.hellinger` gives for ``p_plus`` and
+    ``p_minus``, computed without building either distribution.
+    """
+    intra = _checked_counts(intra, n_intra, support.q, "intra")
+    inter = _checked_counts(inter, n_inter, support.q, "inter")
+    h = None
+    if n_intra > 0 and n_inter > 0:
+        h = math.sqrt(
+            hellinger2_probs([c / n_intra for c in intra], [c / n_inter for c in inter])
+        )
     return Estimates(
-        p_plus=p_plus,
-        p_minus=p_minus,
         h=h,
         m_threshold=threshold_from_h(h, consts, n),
         n_intra_pairs=n_intra,
         n_inter_pairs=n_inter,
+        intra_counts=intra,
+        inter_counts=inter,
+        support=support,
     )
+
+
+def _checked_counts(counts: Sequence[int], pairs: int, q: int, side: str) -> tuple[int, ...]:
+    """``counts`` as a tuple of ints: q of them, nonnegative, summing to
+    ``pairs``. Exact, so their ratios are a pmf without a tolerance check."""
+    out = tuple(np.asarray(counts, dtype=np.int64).tolist())
+    if len(out) != q or min(out) < 0 or sum(out) != pairs:
+        raise ValueError(f"{side} counts {out} are not {q} nonnegative counts of {pairs} pairs")
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .clustering import ClusteringState, InvariantError, misassigned_count, partition_equal
+from .clustering import ClusteringState, InvariantError, misassigned_count, partition_equal, promote
 from .estimation import hellinger2_rows, membership_scores, value_planes
 from .instance import Instance
 from .oracle import EventSink, Oracle
@@ -128,7 +128,7 @@ class LvState:
         self._remove(v)
         self._count(v, cid)
         self.clustering.add(v, cid)
-        self._promote(cid)
+        promote(self.order, self.pos, self.clustering.size, cid)
         if self.clustering.size(cid) == 2:
             self.num_rankable += 1
         self._rerank(cid)
@@ -291,7 +291,7 @@ class LvState:
         self.best[:m] = np.where(is_c, c, other)
         np.maximum(col, other_score, out=self.best_score[:m])
         self._drop(self.slot[placed])
-        self._promote(c)
+        promote(self.order, self.pos, self.clustering.size, c)
 
     def _rescore(self, cid: int) -> None:
         size, m = self.clustering.size(cid), self.m
@@ -344,18 +344,6 @@ class LvState:
         vals = self.dense[v, self.ids[:m]]
         for a in range(1, self.q):
             self.inter[cid, a - 1, :m] += vals == a
-
-    def _promote(self, cid: int) -> None:
-        """Move a cluster that just grew forward to its place in the order."""
-        order, pos, size = self.order, self.pos, self.clustering.size
-        key = (-size(cid), cid)
-        i = int(pos[cid])
-        while i > 0 and (-size(order[i - 1]), order[i - 1]) > key:
-            order[i] = order[i - 1]
-            pos[order[i]] = i
-            i -= 1
-        order[i] = cid
-        pos[cid] = i
 
     def _rerank(self, cid: int) -> None:
         """Restore the best-cluster cache after cluster cid grew."""

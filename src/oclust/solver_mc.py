@@ -7,6 +7,14 @@ one more random vertex by queries. Phase 3 processes each grown cluster:
 vertices whose membership clears the upper band join for free, vertices in
 the uncertainty band are resolved by queries, and the cluster is then
 retired. Control returns to phase 2 until every vertex is placed.
+
+The per-step work is incremental. The state keeps the pooled pair-value
+counts, and each re-estimate computes h from them with a few scalar
+operations, summed left to right, so its bits do not depend on the CPU's
+BLAS kernel (:func:`~oclust.estimation.estimates_from_counts`). The clusters
+are kept in (-size, id) order as they grow: a vertex is polled in that order,
+and the largest cluster phase 3 has not processed is the first such one in
+it.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .clustering import ClusteringState, InvariantError, misassigned_count, partition_equal
+from .clustering import ClusteringState, InvariantError, misassigned_count, partition_equal, promote
 from .estimation import Constants, Estimates, estimates_from_counts, membership_scores
 from .instance import Instance
 from .oracle import EventSink, Oracle
@@ -78,6 +86,11 @@ class McState:
     values a >= 1 are counted by comparison and value 0 is the rest of the
     pair total.
 
+    ``order`` holds the cluster ids by (-size, id), the order in which a
+    vertex is polled; a new cluster goes to its end and a cluster that grew
+    moves forward (:func:`~oclust.clustering.promote`), so no placement
+    sorts the clusters.
+
     Each placement sends the oracle's event sink, if any, ``{"event":
     "place", "v", "cluster", "queries", "how"}``. MC only asks about the
     vertex it places next, so ``queries`` is the charge since the last one.
@@ -90,6 +103,8 @@ class McState:
         self.phase = "init"
         self.estimates: Optional[Estimates] = None
         self.grown_done: set[int] = set()
+        self.order: list[int] = []  # cluster ids by (-size, id)
+        self.pos: list[int] = []  # cluster id -> index in order
         self.rng = rng
         self.pool = _Pool(range(instance.n))
         self.dense = instance.side.dense()
@@ -122,6 +137,7 @@ class McState:
         self.n_intra += len(members)
         self.n_inter += self.n_clustered - len(members)
         self.clustering.add(v, cid)
+        promote(self.order, self.pos, self.clustering.size, cid)
         self._mark_clustered(v, how)
 
     def join_batch(self, vs: np.ndarray, cid: int, how: str) -> None:
@@ -152,6 +168,7 @@ class McState:
             for v in chunk.tolist():
                 clustering.add(v, cid)
                 self._mark_clustered(v, how)
+        promote(self.order, self.pos, clustering.size, cid)
 
     def _nonzero_counts(self, block: np.ndarray) -> np.ndarray:
         """Counts of each value a >= 1 in ``block``; entry 0 is left 0."""
@@ -166,6 +183,9 @@ class McState:
         )
         self.n_inter += self.n_clustered
         cid = self.clustering.new_cluster(v)
+        # size 1 and the highest id: last in the order
+        self.pos.append(len(self.order))
+        self.order.append(cid)
         self._mark_clustered(v, how)
         self.max_clusters_seen = max(self.max_clusters_seen, self.clustering.num_clusters)
         return cid
@@ -193,25 +213,28 @@ class McState:
         )
         return self.estimates
 
-
-def _poll_order(state: McState, first: Optional[int] = None) -> list[int]:
-    """Clusters by decreasing size, ties by creation id; ``first`` leads."""
-    order = sorted(
-        range(state.clustering.num_clusters),
-        key=lambda c: (-state.clustering.size(c), c),
-    )
-    if first is not None:
-        order.remove(first)
-        order.insert(0, first)
-    return order
+    def largest_open(self) -> Optional[int]:
+        """The largest cluster phase 3 has not processed, ties to the older
+        one; None when there is none."""
+        done = self.grown_done
+        for c in self.order:
+            if c not in done:
+                return c
+        return None
 
 
 def _place_by_query(
     state: McState, v: int, oracle: Oracle, first: Optional[int] = None
 ) -> int:
-    """One query per existing cluster, stop at the first +1, else singleton."""
-    for cid in _poll_order(state, first):
-        if oracle.query(v, state.clustering.min_member[cid]) == 1:
+    """One query per existing cluster, ``first`` first and then by decreasing
+    size (ties by creation id); stop at the first +1, else open a singleton."""
+    reps = state.clustering.min_member
+    if first is not None and oracle.query(v, reps[first]) == 1:
+        state.join(v, first, "query")
+        return first
+    for cid in state.order:
+        # join reorders the clusters, so the loop ends right after it
+        if cid != first and oracle.query(v, reps[cid]) == 1:
             state.join(v, cid, "query")
             return cid
     return state.open_singleton(v, "seed")
@@ -250,15 +273,12 @@ def phase2_loop(
     """
     before = oracle.count
     while True:
-        est = state.refresh_estimates(instance, consts)
-        m = est.m_threshold
-        if m is not None and any(
-            state.clustering.size(c) >= m
-            for c in range(state.clustering.num_clusters)
-            if c not in state.grown_done
-        ):
-            state.phase = "grow"
-            break
+        m = state.refresh_estimates(instance, consts).m_threshold
+        if m is not None:
+            c = state.largest_open()
+            if c is not None and state.clustering.size(c) >= m:
+                state.phase = "grow"
+                break
         if not len(state.pool):
             state.phase = "done"
             break
@@ -290,14 +310,9 @@ def phase3_process(
     before = oracle.count
     est = state.estimates
     m = est.m_threshold if est else None
-    grown = [
-        c
-        for c in range(state.clustering.num_clusters)
-        if c not in state.grown_done and m is not None and state.clustering.size(c) >= m
-    ]
-    if not grown:
+    cid = state.largest_open()
+    if m is None or cid is None or state.clustering.size(cid) < m:
         raise ValueError("phase 3 needs a grown, unprocessed cluster")
-    cid = min(grown, key=lambda c: (-state.clustering.size(c), c))
 
     h = est.h
     logn = math.log(max(instance.n, 2))

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -186,3 +187,37 @@ def test_hellinger2_properties_hypothesis(q, s1, s2):
     if f == g:
         assert h2 == 0.0
     assert kl(f, g) >= 0.0
+
+
+def _left_to_right(f, g) -> float:
+    """Squared Hellinger divergence summed left to right, one rounding per
+    operation."""
+    s = 0.0
+    for a, b in zip(f.probs, g.probs):
+        d = math.sqrt(a) - math.sqrt(b)
+        s = s + d * d
+    return min(max(0.5 * s, 0.0), 1.0)
+
+
+def _fused_pair(x: float, y: float) -> float:
+    """fma(y, y, x * x): y * y + x * x with one rounding after the add, what
+    a BLAS two-term dot product may compute."""
+    return float(Fraction(x * x) + Fraction(y) * Fraction(y))
+
+
+class TestLeftToRight:
+    def test_binary_pairs_bit_for_bit_including_fused_cases(self, rng):
+        fused_differs = 0
+        for _ in range(3000):
+            f, g = bernoulli(float(rng.random())), bernoulli(float(rng.random()))
+            d0, d1 = (math.sqrt(a) - math.sqrt(b) for a, b in zip(f.probs, g.probs))
+            fused_differs += _fused_pair(d0, d1) != d0 * d0 + d1 * d1
+            assert hellinger2(f, g) == _left_to_right(f, g)
+        # the case a fused multiply-add would round differently is common
+        assert fused_differs > 100
+
+    @pytest.mark.parametrize("q", [3, 5, 8])
+    def test_wider_supports_bit_for_bit(self, rng, q):
+        for _ in range(500):
+            f, g = random_distribution(rng, q), random_distribution(rng, q)
+            assert hellinger2(f, g) == _left_to_right(f, g)

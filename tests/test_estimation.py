@@ -12,6 +12,7 @@ from oclust.estimation import (
     intra_dist,
     membership,
     membership_scores,
+    estimates_from_counts,
     pooled_estimates,
     threshold_from_h,
 )
@@ -237,6 +238,42 @@ class TestPooledEstimates:
         state = phase1(inst, Oracle(inst.labels), consts, np.random.default_rng(17))
         est = pooled_estimates(state.clustering.members, inst.side, consts, inst.n)
         assert est.h == pytest.approx(hellinger(fp, fm), abs=0.1)
+
+
+class TestEstimatesFromCounts:
+    CASES = [
+        ((1, 3), (7, 5), BIN),
+        ((0, 4), (9, 0), BIN),
+        ((2, 3, 5), (5, 3, 2), Support((0.0, 1.0, 2.0))),
+        ((17, 0, 41, 3, 999), (5, 5, 1, 0, 12), Support((0.0, 1.0, 2.0, 3.0, 4.0))),
+    ]
+
+    @pytest.mark.parametrize("intra, inter, support", CASES)
+    def test_h_is_the_hellinger_of_the_pmfs(self, intra, inter, support):
+        n_intra, n_inter = sum(intra), sum(inter)
+        est = estimates_from_counts(
+            np.array(intra), list(inter), n_intra, n_inter, support, Constants(), 1000
+        )
+        # the pmfs are built on first use, with the values they always had
+        assert est.p_plus == Distribution(support, np.array(intra) / n_intra)
+        assert est.p_minus == Distribution(support, np.array(inter) / n_inter)
+        assert est.h == hellinger(est.p_plus, est.p_minus)
+        assert est.m_threshold == threshold_from_h(est.h, Constants(), 1000)
+        assert est.intra_counts == intra and est.inter_counts == inter
+
+    def test_no_pairs_no_pmf(self):
+        est = estimates_from_counts([0, 0], [2, 1], 0, 3, BIN, Constants(), 10)
+        assert est.p_plus is None and est.h is None and est.m_threshold is None
+        assert est.p_minus.probs == (2 / 3, 1 / 3)
+
+    @pytest.mark.parametrize(
+        "intra, n_intra",
+        [([2, 1], 4), ([-1, 5], 4), ([1, 1, 2], 4), ([4], 4), ([0, 0], 1)],
+        ids=["short-sum", "negative", "too-many", "too-few", "pairs-without-counts"],
+    )
+    def test_counts_must_be_an_exact_tally(self, intra, n_intra):
+        with pytest.raises(ValueError, match="intra counts"):
+            estimates_from_counts(intra, [1, 1], n_intra, 2, BIN, Constants(), 10)
 
 
 class TestConcentration:

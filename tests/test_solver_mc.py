@@ -14,13 +14,14 @@ from mc_reference import mc_events, reference_mc
 
 from oclust import solver_mc
 from oclust.clustering import partition_equal
-from oclust.divergence import Distribution, Support, bernoulli, from_text
+from oclust.divergence import Distribution, Support, bernoulli, from_text, hellinger
 from oclust.estimation import Constants, pooled_estimates
-from oclust.instance import Balanced, ExplicitSizes, generate
+from oclust.instance import Balanced, ExplicitSizes, Skewed, generate
 from oclust.oracle import Oracle
 from oclust.solver_mc import McState, phase1, phase2_loop, phase3_process, run_mc
 
 WEAK3 = (from_text("0:0.2,1:0.3,2:0.5"), from_text("0:0.5,1:0.3,2:0.2"))
+STRONG = (bernoulli(0.9), bernoulli(0.1))
 
 
 def mc_parts(inst, consts, seed):
@@ -222,6 +223,40 @@ class TestRunMc:
             _, report = run_mc(inst, Constants(scale=scale), 3)
             assert (report.extras["side_placements"] > 0) == free
             assert len(seen) > 2 and seen[-1] == inst.n
+
+    def test_refresh_h_is_the_hellinger_of_its_estimates(self, monkeypatch):
+        refresh = McState.refresh_estimates
+        seen = []
+
+        def spy(state, instance, consts):
+            seen.append(refresh(state, instance, consts))
+            return seen[-1]
+
+        monkeypatch.setattr(McState, "refresh_estimates", spy)
+        for fp, fm in [(bernoulli(0.8), bernoulli(0.2)), WEAK3]:
+            seen.clear()
+            run_mc(generate(400, Balanced(4), fp, fm, seed=6), Constants(scale=0.01), 3)
+            assert sum(est.h is not None for est in seen) > 20
+            for est in seen:
+                if est.h is not None:
+                    assert est.h == hellinger(est.p_plus, est.p_minus)
+
+    @pytest.mark.parametrize(
+        "n, spec, dists, seed, h_hex",
+        [
+            # the first three end one bit higher where h is a BLAS dot
+            # product that fuses its multiply and add
+            (500, Balanced(10), STRONG, 2, "0x1.448bff970dff8p-1"),
+            (2000, Skewed(10, 4.0), WEAK3, 1, "0x1.0a7675269894ep-2"),
+            (2000, Skewed(10, 4.0), WEAK3, 2, "0x1.095f5841c9d89p-2"),
+            (1000, Balanced(10), STRONG, 0, "0x1.42bbd3b22e37bp-1"),
+        ],
+    )
+    def test_h_final_pinned(self, n, spec, dists, seed, h_hex):
+        # the last estimate, to the last bit: the same on every CPU
+        inst = generate(n, spec, *dists, seed=1000 * n + seed)
+        _, report = run_mc(inst, Constants(scale=0.02), seed)
+        assert report.extras["h_final"].hex() == h_hex
 
     def test_band_modes_both_run(self):
         inst = generate(400, Balanced(4), bernoulli(0.9), bernoulli(0.1), seed=8)
