@@ -7,17 +7,21 @@ held once, as an n x n array of support indices (one byte per pair for
 q <= 256): ``generate`` and ``load`` fill its upper triangle in place, and
 the first ``SideInfo.dense()`` call mirrors it into the lower one. Files and
 fingerprints take W's flat row-major upper triangle from the array's rows
-(``generate`` hashes each drawing step instead), so neither copies W.
+(``generate`` hashes each drawing step instead), so neither copies W. An
+array of 4 MiB or more lives in a memory mapping of its own, which the next
+W of the same size reuses once the array is gone (:func:`_w_array`).
 """
 
 from __future__ import annotations
 
 import io
 import json
+import mmap
 import os
 import stat
 import struct
 import threading
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 from hashlib import sha256
@@ -161,7 +165,7 @@ class SideInfo:
         if tri.shape != (expected,):
             raise ValueError(f"side_info has {tri.shape[0]} entries, expected {expected}")
         _check_range(tri, support.q)
-        w = np.empty((n, n), dtype=tri.dtype)
+        w = _w_array(n, tri.dtype)
         starts = _row_starts(n)
         for u in range(n - 1):
             w[u, u + 1 :] = tri[starts[u] : starts[u + 1]]
@@ -230,6 +234,53 @@ def _mirror(w: np.ndarray) -> None:
 # transpose reads column-wise across all of memory and costs ~10x.
 _MIRROR_TILE = 256
 _MIRROR_LOCK = threading.Lock()
+
+
+# From this many bytes up, W gets a mapping of its own: the size from which
+# numpy asks for transparent huge pages (see _GENERATE_CHUNK).
+_MAP_BYTES = 1 << 22
+_SPARE_LOCK = threading.Lock()
+_spare = None  # the mapping of the last W released, kept for the next one
+
+
+def _w_array(n: int, dtype) -> np.ndarray:
+    """A writable n x n array for W, its contents undefined.
+
+    Below ``_MAP_BYTES`` this is ``np.empty``. From there up the array lives
+    in an anonymous private mapping, off the malloc heap: how much of a freed
+    heap block stays resident depends on where glibc placed it, so peak
+    memory would change with heap layout from one process to the next. Once
+    no array or view uses a mapping, it becomes the one spare. A request of
+    the same byte size takes the spare over, with no new page faults; any
+    other size drops it first.
+
+    A mapping is never closed explicitly: numpy may still hold its buffer
+    for a moment after the last array goes (the finalizer runs first), and
+    close() would raise then. Dropping the last reference unmaps it.
+    """
+    global _spare
+    dtype = np.dtype(dtype)
+    nbytes = n * n * dtype.itemsize
+    if nbytes < _MAP_BYTES:
+        return np.empty((n, n), dtype=dtype)
+    with _SPARE_LOCK:
+        mm, _spare = _spare, None
+    if mm is None or len(mm) != nbytes:
+        mm = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE)
+        if hasattr(mmap, "MADV_HUGEPAGE"):
+            mm.madvise(mmap.MADV_HUGEPAGE)
+    flat = np.frombuffer(mm, dtype=dtype)
+    # every view of the array, reshaped, sliced or transposed, keeps flat
+    # alive. A memoryview of mm would not do: frombuffer takes a memoryview
+    # of its own, so ours could go while arrays still use the memory.
+    weakref.finalize(flat, _keep_spare, mm)
+    return flat.reshape(n, n)
+
+
+def _keep_spare(mm: mmap.mmap) -> None:
+    global _spare
+    with _SPARE_LOCK:
+        _spare = mm
 
 
 def _check_range(tri: np.ndarray, q: int) -> None:
@@ -384,7 +435,7 @@ def generate(
 
     q = f_plus.q
     thr_plus, thr_minus = f_plus.cdf[: q - 1], f_minus.cdf[: q - 1]
-    w = np.empty((n, n), dtype=_dtype_for_q(q))
+    w = _w_array(n, _dtype_for_q(q))
     starts = _row_starts(n)  # starts[n - 1] is the number of pairs
     # each step's pairs are contiguous in the flat triangle, so W is hashed
     # here at a fraction of the cost of hashing the finished array row by row
@@ -541,7 +592,7 @@ def _read(fh, size: int) -> Instance:
     if size > off + tri_bytes:
         raise InstanceFormatError("trailing bytes after side information", off + tri_bytes)
     # the triangle lands packed at the front of W's own array
-    w = np.empty((n, n), dtype=w_dtype)
+    w = _w_array(n, w_dtype)
     flat = w.reshape(-1)
     got = fh.readinto(flat[:npairs].view(np.uint8))
     if got != tri_bytes:  # the file shrank while it was read

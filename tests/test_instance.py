@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -5,6 +6,7 @@ import struct
 import sys
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -303,6 +305,124 @@ class TestOneArray:
         tri[:] = 1 - tri
         assert not np.array_equal(inst.side.tri, tri)
         assert inst.side.value_index(0, 1) == 1 - tri[0]
+
+
+def _address(a: np.ndarray) -> int:
+    return a.__array_interface__["data"][0]
+
+
+class TestMapping:
+    """A W of ``_MAP_BYTES`` or more gets a mapping of its own, which the next
+    W of the same byte size reuses once no array or view uses it. The tests
+    lower the threshold so that small instances take that path."""
+
+    N = 200
+
+    @pytest.fixture(autouse=True)
+    def mapped(self, monkeypatch):
+        monkeypatch.setattr(instance_mod, "_MAP_BYTES", self.N * self.N)
+        monkeypatch.setattr(instance_mod, "_spare", None)
+
+    def make(self, seed, n=N):
+        return generate(n, Balanced(4), *(from_text(t) for t in WEAK3), seed=seed)
+
+    @staticmethod
+    def spare():
+        """The spare mapping, once every dropped array is freed."""
+        gc.collect()
+        return instance_mod._spare
+
+    def test_threshold_is_four_mib(self, monkeypatch):
+        monkeypatch.undo()
+        assert instance_mod._MAP_BYTES == 1 << 22
+        # np.empty owns its buffer; a mapped array is a view of frombuffer's
+        assert instance_mod._w_array(2047, np.uint8).base is None
+        assert instance_mod._w_array(1024, np.uint16).base is None
+        assert instance_mod._w_array(2048, np.uint8).base is not None
+
+    def test_held_row_keeps_the_mapping(self):
+        inst = self.make(1)
+        row = inst.side.dense()[7]
+        values, where = row.copy(), _address(inst.side.dense())
+        del inst
+        assert self.spare() is None
+        other = self.make(2)
+        assert _address(other.side.dense()) != where
+        assert np.array_equal(row, values)
+        del row
+        assert len(self.spare()) == self.N**2
+
+    def test_released_mapping_is_reused(self, tmp_path):
+        inst = self.make(1)
+        where = _address(inst.side.dense())
+        path = save(inst, tmp_path / "inst.oclb")
+        del inst
+        assert len(self.spare()) == self.N**2
+        inst = self.make(2)
+        assert _address(inst.side.dense()) == where and self.spare() is None
+        del inst
+        inst = load(path)
+        assert _address(inst.side.dense()) == where and self.spare() is None
+
+    def test_other_size_drops_the_spare(self):
+        self.make(1)
+        old = weakref.ref(self.spare())
+        inst = self.make(3, n=self.N + 1)
+        assert self.spare() is None and old() is None
+        del inst
+        kept = self.spare()
+        assert len(kept) == (self.N + 1) ** 2
+        # a spare that another released mapping replaces is dropped too
+        held = self.make(4, n=self.N + 1)
+        self.make(5)
+        small = weakref.ref(self.spare())
+        assert len(small()) == self.N**2
+        del held
+        assert small() is None and self.spare() is kept
+
+    def test_threads_never_share_a_live_mapping(self):
+        # more threads than cores generate, mirror, check and drop instances;
+        # a mapping handed out twice would mix two seeds' W
+        want = {seed: self.make(seed).side.dense().copy() for seed in range(3)}
+        errors = []
+
+        def work(seed):
+            try:
+                for _ in range(15):
+                    if not np.array_equal(self.make(seed).side.dense(), want[seed]):
+                        errors.append(seed)
+            except Exception as exc:  # reported by the assert below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i % 3,)) for i in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads) and not errors
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("reuse", [False, True], ids=["fresh", "reused"])
+    def test_outputs_match_the_heap_path(self, tmp_path, monkeypatch, reuse):
+        if reuse:  # the spare holds another instance's W, mirrored
+            self.make(9).side.dense()
+            assert self.spare() is not None
+        mapped = self.make(1)
+        assert mapped.side._w.base is not None
+        mapped_bytes = save(mapped, tmp_path / "mapped.oclb").read_bytes()
+        side = instance_mod.SideInfo(self.N, mapped.side.support, mapped.side.tri)
+        assert side._w.base is not None
+        monkeypatch.setattr(instance_mod, "_MAP_BYTES", 1 << 62)
+        heap = self.make(1)
+        assert heap.side._w.base is None
+        assert mapped.fingerprint() == heap.fingerprint()
+        assert mapped_bytes == save(heap, tmp_path / "heap.oclb").read_bytes()
+        assert np.array_equal(mapped.side.dense(), heap.side.dense())
+        assert np.array_equal(side.dense(), heap.side.dense())
 
 
 @pytest.fixture
