@@ -253,7 +253,9 @@ def phase1(
     state = McState(instance, rng, oracle)
     target = max(1, math.ceil(consts.effective_c * math.log(max(instance.n, 2))))
     before = oracle.count
-    while len(state.pool) and state.clustering.max_size() < target:
+    size = state.clustering.size
+    # the largest cluster leads the size order
+    while len(state.pool) and (not state.order or size(state.order[0]) < target):
         v = state.pool.pop_random(rng)
         _place_by_query(state, v, oracle)
         state.vertices_phase["phase1"] += 1
