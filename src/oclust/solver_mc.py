@@ -213,13 +213,13 @@ class McState:
         )
         return self.estimates
 
-    def largest_open(self) -> Optional[int]:
-        """The largest cluster phase 3 has not processed, ties to the older
-        one; None when there is none."""
-        done = self.grown_done
-        for c in self.order:
-            if c not in done:
-                return c
+    def grown_cluster(self, m: Optional[int]) -> Optional[int]:
+        """The largest cluster phase 3 has not processed (ties to the older
+        one) if it has at least ``m`` members; else None."""
+        if m is not None:
+            for c in self.order:
+                if c not in self.grown_done:
+                    return c if self.clustering.size(c) >= m else None
         return None
 
 
@@ -276,11 +276,9 @@ def phase2_loop(
     before = oracle.count
     while True:
         m = state.refresh_estimates(instance, consts).m_threshold
-        if m is not None:
-            c = state.largest_open()
-            if c is not None and state.clustering.size(c) >= m:
-                state.phase = "grow"
-                break
+        if state.grown_cluster(m) is not None:
+            state.phase = "grow"
+            break
         if not len(state.pool):
             state.phase = "done"
             break
@@ -311,9 +309,8 @@ def phase3_process(
         raise ValueError(f"band must be one of {BAND_MODES}")
     before = oracle.count
     est = state.estimates
-    m = est.m_threshold if est else None
-    cid = state.largest_open()
-    if m is None or cid is None or state.clustering.size(cid) < m:
+    cid = state.grown_cluster(est.m_threshold if est else None)
+    if cid is None:
         raise ValueError("phase 3 needs a grown, unprocessed cluster")
 
     h = est.h
