@@ -258,11 +258,19 @@ def value_planes(dense: np.ndarray, q: int, pool: np.ndarray, members: np.ndarra
 
 def hellinger2_rows(counts: np.ndarray, p_ref: np.ndarray) -> np.ndarray:
     """Squared Hellinger divergence of each count row (the last axis,
-    normalized) from a reference pmf that broadcasts against the rows."""
+    normalized) from a reference pmf that broadcasts against the rows.
+
+    Each row equals :func:`~oclust.divergence.hellinger2_probs` of its pmf
+    and the reference: the terms are summed left to right, clamped to 1."""
     d = counts / counts.sum(axis=-1, keepdims=True)
     np.sqrt(d, out=d)
     d -= np.sqrt(p_ref)
-    return 0.5 * np.einsum("...j,...j->...", d, d)
+    d *= d
+    s = d[..., 0].copy()
+    for j in range(1, d.shape[-1]):
+        s += d[..., j]
+    s *= 0.5
+    return np.minimum(s, 1.0, out=s)
 
 
 def membership_scores(pool: np.ndarray, members: Sequence[int], side: SideInfo) -> np.ndarray:

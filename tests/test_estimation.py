@@ -140,12 +140,17 @@ class TestMembership:
             assert membership(30, members, inst.side) == base
 
     def test_vectorized_scores_match_scalar(self):
-        inst = generate(60, Balanced(4), bernoulli(0.7), bernoulli(0.3), seed=12)
-        members = inst.truth[0]
-        pool = np.array([v for v in range(60) if v not in members])
-        fast = membership_scores(pool, members, inst.side)
-        slow = [membership(int(v), members, inst.side) for v in pool]
-        assert np.allclose(fast, slow, atol=1e-12)
+        for fp, fm in [
+            ("0:0.3,1:0.7", "0:0.7,1:0.3"),
+            ("0:0.2,1:0.3,2:0.5", "0:0.5,1:0.3,2:0.2"),
+            ("0:0.5,1:0.5,2:0,3:0,4:0", "0:0,1:0.1,2:0.3,3:0.3,4:0.3"),
+        ]:
+            inst = generate(60, Balanced(4), from_text(fp), from_text(fm), seed=12)
+            for members in inst.truth:
+                pool = np.array([v for v in range(60) if v not in members])
+                fast = membership_scores(pool, members, inst.side)
+                slow = [membership(int(v), members, inst.side) for v in pool]
+                assert fast.tolist() == slow, (fp, members)
 
 
 class TestInterCounts:
