@@ -229,56 +229,53 @@ def _checked_counts(counts: Sequence[int], pairs: int, q: int, side: str) -> tup
 _GATHER_CELLS = 1 << 20
 
 
-def inter_counts(pool: np.ndarray, members: np.ndarray, side: SideInfo) -> np.ndarray:
-    """Per-vertex counts of side-information values toward a member set:
-    row v of the result is the unnormalized p_{v,C}. Shape (len(pool), q)."""
-    planes = value_planes(side.dense(), side.q, pool, members)
-    out = np.empty((pool.size, side.q), dtype=np.float64)
-    out[:, 1:] = planes.T
-    # every cell holds exactly one value
-    out[:, 0] = members.size - planes.sum(axis=0)
-    return out
-
-
 def value_planes(dense: np.ndarray, q: int, pool: np.ndarray, members: np.ndarray) -> np.ndarray:
-    """Counts of each side-information value 1..q-1 between every pool
-    vertex and a member set, one plane per value: shape (q - 1, len(pool)).
-    Value 0's count is the member count minus the planes' sum."""
+    """Counts of each side-information value between every pool vertex and a
+    member set, one plane per value: shape (q, len(pool)); each pool
+    vertex's q counts sum to len(members)."""
     # W is symmetric, so read whole member rows, a step at a time, and gather
     # the pool's columns from them: contiguous rows are far cheaper than a
     # cell-by-cell np.ix_ gather
-    out = np.zeros((q - 1, pool.size), dtype=np.int64)
+    out = np.zeros((q, pool.size), dtype=np.int64)
     step = max(1, _GATHER_CELLS // dense.shape[1])
     for lo in range(0, members.size, step):
         sub = dense[members[lo : lo + step]][:, pool]
         for a in range(1, q):
-            out[a - 1] += np.count_nonzero(sub == a, axis=0)
+            out[a] += np.count_nonzero(sub == a, axis=0)
+    # every cell holds exactly one value
+    np.subtract(members.size, out[1:].sum(axis=0), out=out[0])
     return out
 
 
-def hellinger2_rows(counts: np.ndarray, p_ref: np.ndarray) -> np.ndarray:
-    """Squared Hellinger divergence of each count row (the last axis,
-    normalized) from a reference pmf that broadcasts against the rows.
+def hellinger2_rows(counts: np.ndarray, total, p_ref: np.ndarray) -> np.ndarray:
+    """Squared Hellinger divergence of count rows from a reference pmf.
 
-    Each row equals :func:`~oclust.divergence.hellinger2_probs` of its pmf
-    and the reference: the terms are summed left to right, clamped to 1."""
-    d = counts / counts.sum(axis=-1, keepdims=True)
-    np.sqrt(d, out=d)
-    d -= np.sqrt(p_ref)
-    d *= d
-    s = d[..., 0].copy()
-    for j in range(1, d.shape[-1]):
-        s += d[..., j]
+    ``counts`` holds one plane per value, shape (q, ...): ``counts[a]``
+    counts value a for every row, and a row's q counts sum to ``total``.
+    ``total`` and each ``p_ref[a]`` broadcast against a plane. Each row
+    equals :func:`~oclust.divergence.hellinger2_probs` of ``row / total``
+    and the reference: the terms are added left to right, one rounding per
+    operation, and the sum is clamped to 1."""
+    root = np.sqrt(p_ref)
+    s = np.zeros(counts.shape[1:])
+    d = np.empty_like(s)
+    for c, r in zip(counts, root):
+        np.divide(c, total, out=d)
+        np.sqrt(d, out=d)
+        d -= r
+        d *= d
+        s += d
     s *= 0.5
     return np.minimum(s, 1.0, out=s)
 
 
 def membership_scores(pool: np.ndarray, members: Sequence[int], side: SideInfo) -> np.ndarray:
     """Vectorized membership of every pool vertex against one cluster;
-    matches :func:`membership` elementwise."""
+    equals :func:`membership` elementwise."""
     members = np.asarray(list(members), dtype=np.int64)
     p_c = intra_dist(members, side).probs_array
-    return -hellinger2_rows(inter_counts(pool, members, side), p_c)
+    counts = value_planes(side.dense(), side.q, pool, members)
+    return -hellinger2_rows(counts, members.size, p_c)
 
 
 def _value_counts(values: np.ndarray, q: int) -> np.ndarray:

@@ -77,7 +77,8 @@ class LvState:
       a, for a = 1..q-1, as int32 planes; value 0's count is the cluster size
       minus their sum;
     - ``scores[c, i]`` is its membership in c, for every rankable cluster c
-      (size >= 2), as :func:`hellinger2_rows` computes it; only the pool rows
+      (size >= 2), bit for bit the scalar :func:`~oclust.estimation.membership`
+      (both sum their terms left to right); only the pool rows
       are scored, and a cluster is rescored only when it grew
       (``scored_at[c]`` is the size it was scored at);
     - ``best[i]`` is the first maximum of ``scores[:, i]`` over the rankable
@@ -262,7 +263,7 @@ class LvState:
         p_c = intra / (size * (size - 1) / 2)[:, None]
         score = np.empty((steps + 1, rows.size))
         score[0] = self.scores[c, rows]
-        score[1:] = -hellinger2_rows(_by_rows(cnt[:, 1:]), p_c[1:, None, :])
+        score[1:] = -hellinger2_rows(cnt[:, 1:], size[1:, None], p_c[1:].T[:, :, None])
 
         t = np.arange(steps + 1)[:, None]
         os_r, tau_r = other_score[rows], tau[rows]
@@ -282,7 +283,7 @@ class LvState:
         in order, leaving the cache as their single steps would."""
         m, steps = self.m, placed.size
         self.intra[c] = intra
-        self.inter[c, :, :m] += value_planes(self.dense, self.q, self.ids[:m], placed)
+        self.inter[c, :, :m] += value_planes(self.dense, self.q, self.ids[:m], placed)[1:]
         for u in placed.tolist():
             self.clustering.add(u, c)
         self._rescore(c)
@@ -296,10 +297,10 @@ class LvState:
     def _rescore(self, cid: int) -> None:
         size, m = self.clustering.size(cid), self.m
         p_c = self.intra[cid] / (size * (size - 1) / 2)
-        planes = np.empty((self.q, m))
-        planes[1:] = self.inter[cid, :, :m]
-        np.subtract(size, planes[1:].sum(axis=0), out=planes[0])
-        self.scores[cid, :m] = -hellinger2_rows(_by_rows(planes), p_c)
+        counts = np.empty((self.q, m), dtype=np.int64)
+        counts[1:] = self.inter[cid, :, :m]
+        np.subtract(size, counts[1:].sum(axis=0), out=counts[0])
+        self.scores[cid, :m] = -hellinger2_rows(counts, size, p_c)
         self.scored_at[cid] = size
 
     def _remove(self, v: int) -> None:
@@ -364,15 +365,6 @@ class LvState:
             t = np.argmax(sub, axis=0)  # first max: larger cluster wins ties
             best[stale] = ranked[t]
             best_score[stale] = sub[t, np.arange(stale.size)]
-
-
-def _by_rows(planes: np.ndarray) -> np.ndarray:
-    """Count rows, values on the last axis, from counts stored one plane per
-    value. From three values up, einsum's per-row summation order follows
-    the memory layout, so those rows are scored row-major, as they always
-    were; a two-term sum rounds the same in either order."""
-    rows = planes.transpose(*range(1, planes.ndim), 0)
-    return rows if planes.shape[0] == 2 else np.ascontiguousarray(rows)
 
 
 def run_lv(

@@ -3,18 +3,27 @@ import math
 import numpy as np
 import pytest
 
-from oclust.divergence import Distribution, Support, bernoulli, from_text, hellinger, hellinger2
+from oclust.divergence import (
+    Distribution,
+    Support,
+    bernoulli,
+    from_text,
+    hellinger,
+    hellinger2,
+    hellinger2_probs,
+)
 from oclust import estimation
 from oclust.estimation import (
     Constants,
-    inter_counts,
     inter_dist,
     intra_dist,
     membership,
     membership_scores,
     estimates_from_counts,
+    hellinger2_rows,
     pooled_estimates,
     threshold_from_h,
+    value_planes,
 )
 from oclust.instance import Balanced, ExplicitSizes, SideInfo, generate, pair_index
 from oclust.oracle import Oracle
@@ -186,11 +195,46 @@ class TestInterCounts:
             (perm[:20], perm[:0]),  # empty member set
         ]
         for pool, members in cases:
-            got = inter_counts(pool, members, inst.side)
+            got = value_planes(inst.side.dense(), inst.q, pool, members)
             want = self.reference(pool, members, inst.side)
-            assert got.shape == want.shape == (pool.size, inst.q)
-            assert got.dtype == want.dtype
-            assert np.array_equal(got, want)
+            assert got.shape == (inst.q, pool.size) and got.dtype == np.int64
+            assert np.array_equal(got.T, want)
+
+
+def _tally_pmf(rng, q, pairs):
+    """A pmf of exact count ratios, zeros included, as intra pmfs are."""
+    return rng.multinomial(pairs, rng.dirichlet(np.full(q, 0.3))) / pairs
+
+
+class TestHellinger2Rows:
+    """The plane kernel against pure-Python hellinger2_probs, row by row."""
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 8])
+    def test_rows_bit_for_bit(self, q):
+        rng = np.random.default_rng(q)
+        for total in (1, 2, 7, 60):
+            rows = rng.multinomial(total, rng.dirichlet(np.full(q, 0.4)), size=400)
+            rows[:q] = total * np.eye(q, dtype=rows.dtype)  # point masses
+            refs = [np.eye(q)[0], np.eye(q)[-1], np.full(q, 1 / q)]
+            refs += [_tally_pmf(rng, q, pairs) for pairs in (1, 3, 21, 1770)]
+            for p in refs:
+                got = hellinger2_rows(np.ascontiguousarray(rows.T), total, p)
+                want = [hellinger2_probs([c / total for c in row], p.tolist()) for row in rows.tolist()]
+                assert got.tolist() == want
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 8])
+    def test_per_row_totals_and_pmfs(self, q):
+        # LV's batches: one total and one reference pmf per step, shared by
+        # the step's rows
+        rng = np.random.default_rng(10 + q)
+        sizes = np.arange(2, 14)
+        rows = np.stack([rng.multinomial(s, rng.dirichlet(np.full(q, 0.4)), size=50) for s in sizes])
+        refs = np.stack([_tally_pmf(rng, q, s * (s - 1) // 2) for s in sizes])
+        got = hellinger2_rows(np.moveaxis(rows, -1, 0), sizes[:, None], refs.T[:, :, None])
+        assert got.shape == (sizes.size, 50)
+        for t, s in enumerate(sizes.tolist()):
+            want = [hellinger2_probs([c / s for c in row], refs[t].tolist()) for row in rows[t].tolist()]
+            assert got[t].tolist() == want
 
 
 class TestThreshold:
