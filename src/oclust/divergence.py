@@ -181,14 +181,3 @@ def kl(f: Distribution, g: Distribution) -> float:
 def symmetric_kl(f: Distribution, g: Distribution) -> float:
     """Symmetrized KL divergence D(f||g) + D(g||f)."""
     return kl(f, g) + kl(g, f)
-
-
-def product_distribution(f: Distribution, g: Distribution) -> Distribution:
-    """Joint pmf of an independent pair, over a synthetic product support.
-
-    Product support points are the flat indices 0..q_f*q_g-1; only the
-    probability structure matters for divergence identities.
-    """
-    probs = np.outer(f.probs_array, g.probs_array).ravel()
-    return Distribution(Support(tuple(range(f.q * g.q))), probs)
-

@@ -361,7 +361,7 @@ class LvState:
         np.maximum(best_score, col, out=best_score)  # a tie keeps the same value
         if stale.size:
             ranked = np.array(self.rankable())
-            sub = self.scores[:, stale][ranked]
+            sub = self.scores[ranked[:, None], stale]
             t = np.argmax(sub, axis=0)  # first max: larger cluster wins ties
             best[stale] = ranked[t]
             best_score[stale] = sub[t, np.arange(stale.size)]

@@ -16,10 +16,19 @@ from oclust.divergence import (
     hellinger,
     hellinger2,
     kl,
-    product_distribution,
     symmetric_kl,
     to_text,
 )
+
+
+def product_distribution(f: Distribution, g: Distribution) -> Distribution:
+    """Joint pmf of an independent pair, over a synthetic product support.
+
+    Product support points are the flat indices 0..q_f*q_g-1; only the
+    probability structure matters for divergence identities.
+    """
+    probs = np.outer(f.probs_array, g.probs_array).ravel()
+    return Distribution(Support(tuple(range(f.q * g.q))), probs)
 
 
 class TestSupportAndDistribution:
