@@ -252,20 +252,19 @@ def hellinger2_rows(counts: np.ndarray, total, p_ref: np.ndarray) -> np.ndarray:
 
     ``counts`` holds one plane per value, shape (q, ...): ``counts[a]``
     counts value a for every row, and a row's q counts sum to ``total``.
-    ``total`` and each ``p_ref[a]`` broadcast against a plane. Each row
-    equals :func:`~oclust.divergence.hellinger2_probs` of ``row / total``
-    and the reference: the terms are added left to right, one rounding per
+    ``total`` and ``p_ref``, whose first axis runs over the q values,
+    broadcast against ``counts``. Each row equals
+    :func:`~oclust.divergence.hellinger2_probs` of ``row / total`` and the
+    reference: the terms are added left to right, one rounding per
     operation, and the sum is clamped to 1."""
-    root = np.sqrt(p_ref)
-    s = np.zeros(counts.shape[1:])
-    d = np.empty_like(s)
-    for c, r in zip(counts, root):
-        np.divide(c, total, out=d)
-        np.sqrt(d, out=d)
-        d -= r
-        d *= d
-        s += d
-    s *= 0.5
+    d = np.divide(counts, total)
+    np.sqrt(d, out=d)
+    d -= np.sqrt(p_ref)
+    d *= d
+    s = d[0]
+    for a in range(1, len(d)):
+        s += d[a]
+    s = np.multiply(s, 0.5)
     return np.minimum(s, 1.0, out=s)
 
 
@@ -275,7 +274,7 @@ def membership_scores(pool: np.ndarray, members: Sequence[int], side: SideInfo) 
     members = np.asarray(list(members), dtype=np.int64)
     p_c = intra_dist(members, side).probs_array
     counts = value_planes(side.dense(), side.q, pool, members)
-    return -hellinger2_rows(counts, members.size, p_c)
+    return -hellinger2_rows(counts, members.size, p_c[:, None])
 
 
 def _value_counts(values: np.ndarray, q: int) -> np.ndarray:

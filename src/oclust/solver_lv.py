@@ -297,10 +297,10 @@ class LvState:
     def _rescore(self, cid: int) -> None:
         size, m = self.clustering.size(cid), self.m
         p_c = self.intra[cid] / (size * (size - 1) / 2)
-        counts = np.empty((self.q, m), dtype=np.int64)
-        counts[1:] = self.inter[cid, :, :m]
-        np.subtract(size, counts[1:].sum(axis=0), out=counts[0])
-        self.scores[cid, :m] = -hellinger2_rows(counts, size, p_c)
+        planes = np.empty((self.q, m))
+        planes[1:] = self.inter[cid, :, :m]
+        np.subtract(size, planes[1:].sum(axis=0), out=planes[0])
+        self.scores[cid, :m] = -hellinger2_rows(planes, size, p_c[:, None])
         self.scored_at[cid] = size
 
     def _remove(self, v: int) -> None:

@@ -218,7 +218,7 @@ class TestHellinger2Rows:
             refs = [np.eye(q)[0], np.eye(q)[-1], np.full(q, 1 / q)]
             refs += [_tally_pmf(rng, q, pairs) for pairs in (1, 3, 21, 1770)]
             for p in refs:
-                got = hellinger2_rows(np.ascontiguousarray(rows.T), total, p)
+                got = hellinger2_rows(np.ascontiguousarray(rows.T), total, p[:, None])
                 want = [hellinger2_probs([c / total for c in row], p.tolist()) for row in rows.tolist()]
                 assert got.tolist() == want
 
