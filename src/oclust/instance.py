@@ -111,15 +111,6 @@ def cluster_sizes(spec: ClusterSpec, n: int) -> tuple[int, ...]:
 # triangular indexing and the counter-based pair RNG
 
 
-def pair_index(u: int, v: int, n: int) -> int:
-    """Flat index of the unordered pair {u, v} in row-major upper-tri order."""
-    if u == v:
-        raise ValueError("no diagonal entries")
-    if u > v:
-        u, v = v, u
-    return u * n - u * (u + 1) // 2 + (v - u - 1)
-
-
 @lru_cache(maxsize=32)
 def _row_starts(n: int) -> np.ndarray:
     u = np.arange(n, dtype=np.int64)
@@ -347,7 +338,8 @@ class Instance:
     def fingerprint(self) -> str:
         """Short sha256 of n, seed, labels, W (its flat row-major triangle)
         and both distributions; hashed once, as every field is immutable:
-        by :func:`generate` as it draws W, else on the first call."""
+        by :func:`generate` as it draws W, by :func:`load` as it reads W,
+        else on the first call."""
         if self._fingerprint is None:
             h = _w_hasher(self.n, self.seed, self.labels)
             for row in self.side.upper_rows():
@@ -600,6 +592,10 @@ def _read(fh, size: int) -> Instance:
 
     try:
         _check_range(flat[:npairs], f_plus.q)
+        # the packed triangle is W in the fingerprint's order: one
+        # contiguous hash, before the rows move
+        h = _w_hasher(n, seed, labels)
+        h.update(flat[:npairs])
         # then each row moves to w[u, u + 1:], the last row first: a row's
         # place never starts before its packed stretch, so no row still to
         # move is overwritten
@@ -607,6 +603,7 @@ def _read(fh, size: int) -> Instance:
         for u in range(n - 2, -1, -1):
             w[u, u + 1 :] = flat[starts[u] : starts[u] + n - u - 1]
         inst = Instance(labels, SideInfo._wrap(n, f_plus.support, w), f_plus, f_minus, seed)
+        inst._fingerprint = _w_digest(h, f_plus, f_minus)
     except ValueError as exc:
         raise InstanceFormatError(f"invariant violation: {exc}", off) from exc
     if _header_field(header, int, "k") != inst.k:

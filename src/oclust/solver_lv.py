@@ -37,15 +37,14 @@ def run_baseline(
     state = ClusteringState(n)
     rng = np.random.default_rng(seed)
     kmax = max(instance.k, 1)
-    for v in rng.permutation(n):
-        v = int(v)
+    for v in rng.permutation(n).tolist():
         before = oracle.count
-        for cid in range(state.num_clusters):
-            if oracle.query(v, state.min_member[cid]) == 1:
-                state.add(v, cid)
-                break
-        else:
+        # min_member lists each cluster's representative by cluster id
+        cid = oracle.first_match(v, state.min_member)
+        if cid is None:
             cid = state.new_cluster(v)
+        else:
+            state.add(v, cid)
         used = oracle.count - before
         if used > kmax:
             raise InvariantError(f"baseline used more than k = {kmax} queries on vertex {v}")
@@ -476,12 +475,13 @@ def _miss_schedule(v: int, j: int, lv: LvState) -> list[int]:
 def _place(v: int, schedule: list[int], oracle: Oracle, lv: LvState, asked: int = 0) -> None:
     """Query v against the clusters in schedule order until one answers +1,
     else open a singleton; ``asked`` queries about v came before."""
-    for used, cid in enumerate(schedule, start=asked + 1):
-        if oracle.query(v, lv.clustering.min_member[cid]) == 1:
-            lv.join(v, cid)
-            _emit_place(oracle, v, cid, used)
-            return
-    _emit_place(oracle, v, lv.open_singleton(v), asked + len(schedule))
+    reps = lv.clustering.min_member
+    j = oracle.first_match(v, [reps[cid] for cid in schedule])
+    if j is None:
+        _emit_place(oracle, v, lv.open_singleton(v), asked + len(schedule))
+    else:
+        lv.join(v, schedule[j])
+        _emit_place(oracle, v, schedule[j], asked + j + 1)
 
 
 def _emit_place(oracle: Oracle, v: int, cid: int, queries: int) -> None:

@@ -228,16 +228,16 @@ def _place_by_query(
 ) -> int:
     """One query per existing cluster, ``first`` first and then by decreasing
     size (ties by creation id); stop at the first +1, else open a singleton."""
+    order = state.order
+    if first is not None:
+        order = [first] + [cid for cid in order if cid != first]
     reps = state.clustering.min_member
-    if first is not None and oracle.query(v, reps[first]) == 1:
-        state.join(v, first, "query")
-        return first
-    for cid in state.order:
-        # join reorders the clusters, so the loop ends right after it
-        if cid != first and oracle.query(v, reps[cid]) == 1:
-            state.join(v, cid, "query")
-            return cid
-    return state.open_singleton(v, "seed")
+    j = oracle.first_match(v, [reps[cid] for cid in order])
+    if j is None:
+        return state.open_singleton(v, "seed")
+    cid = order[j]
+    state.join(v, cid, "query")
+    return cid
 
 
 def phase1(

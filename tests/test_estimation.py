@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from triangle import pair_index
 
 from oclust.divergence import (
     Distribution,
@@ -25,7 +26,7 @@ from oclust.estimation import (
     threshold_from_h,
     value_planes,
 )
-from oclust.instance import Balanced, ExplicitSizes, SideInfo, generate, pair_index
+from oclust.instance import Balanced, ExplicitSizes, SideInfo, generate
 from oclust.oracle import Oracle
 from oclust.solver_mc import phase1
 

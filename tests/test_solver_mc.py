@@ -422,7 +422,7 @@ class Chatty(lv.Oracle):
     __slots__ = ()
     @property
     def count(self):
-        return 3 * len(self._memo)
+        return 3 * super().count
 lv.Oracle = Chatty
 lv.run_baseline(generate(30, Balanced(3), bernoulli(0.9), bernoulli(0.1), seed=0), 0)
 """,
