@@ -9,7 +9,9 @@ nonetheless written to never repeat a pair.
 :meth:`Oracle.query` asks one pair. :meth:`Oracle.first_match` asks one
 vertex against a list of representatives in order until the first +1, the
 poll loop of every solver, with the same charges and events as one
-``query`` per representative.
+``query`` per representative. Where ``query`` is replaced (a subclass
+override, or a wrapper set on the class), ``first_match`` makes each ask
+through it, so the replacement sees every pair asked.
 """
 
 from __future__ import annotations
@@ -66,8 +68,14 @@ class Oracle:
 
         Charges and events are those of ``query(v, u)`` for each ``u`` asked,
         in order; a self or out-of-range id raises ValueError when its turn
-        comes, and the pairs asked before it stay charged.
+        comes, and the pairs asked before it stay charged. If ``query`` is
+        not this class's own, each ask is a ``self.query`` call.
         """
+        if type(self).query is not _own_query:
+            for i, u in enumerate(reps):
+                if self.query(v, u) == 1:
+                    return i
+            return None
         n, labels, charged, events = self.n, self._labels, self._charged, self.events
         v_ok = 0 <= v < n
         v = int(v)
@@ -94,6 +102,9 @@ class Oracle:
     def count(self) -> int:
         """Number of distinct pairs ever asked."""
         return len(self._charged)
+
+
+_own_query = Oracle.query
 
 
 def csv_query_logger(fh) -> EventSink:

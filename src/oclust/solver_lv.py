@@ -476,7 +476,7 @@ def _place(v: int, schedule: list[int], oracle: Oracle, lv: LvState, asked: int 
     """Query v against the clusters in schedule order until one answers +1,
     else open a singleton; ``asked`` queries about v came before."""
     reps = lv.clustering.min_member
-    j = oracle.first_match(v, [reps[cid] for cid in schedule])
+    j = oracle.first_match(v, map(reps.__getitem__, schedule))
     if j is None:
         _emit_place(oracle, v, lv.open_singleton(v), asked + len(schedule))
     else:

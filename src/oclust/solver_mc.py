@@ -228,11 +228,14 @@ def _place_by_query(
 ) -> int:
     """One query per existing cluster, ``first`` first and then by decreasing
     size (ties by creation id); stop at the first +1, else open a singleton."""
+    reps = state.clustering.min_member
+    if first is not None and oracle.query(v, reps[first]) == 1:
+        state.join(v, first, "query")
+        return first
     order = state.order
     if first is not None:
-        order = [first] + [cid for cid in order if cid != first]
-    reps = state.clustering.min_member
-    j = oracle.first_match(v, [reps[cid] for cid in order])
+        order = [cid for cid in order if cid != first]
+    j = oracle.first_match(v, map(reps.__getitem__, order))
     if j is None:
         return state.open_singleton(v, "seed")
     cid = order[j]

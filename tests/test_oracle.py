@@ -110,6 +110,26 @@ def test_first_match_error_mid_list_keeps_earlier_charges():
     assert o.count == 3
 
 
+def test_first_match_asks_through_a_replaced_query(monkeypatch):
+    # a wrapper set on the class, as a tracer installs one, sees every ask
+    asked = []
+    own = Oracle.query
+
+    def wrapped(self, u, v):
+        asked.append((u, v))
+        return own(self, u, v)
+
+    monkeypatch.setattr(Oracle, "query", wrapped)
+    events = []
+    o = Oracle(LABELS, events.append)
+    assert o.first_match(2, [0, 4, 3, 1]) == 2
+    assert asked == [(2, 0), (2, 4), (2, 3)]
+    assert o.count == 3 and [e["step"] for e in events] == [1, 2, 3]
+    with pytest.raises(ValueError, match="self query"):
+        o.first_match(0, [4, 0])
+    assert asked[3:] == [(0, 4), (0, 0)] and o.count == 4
+
+
 _ID_TYPES = (int, np.int32, np.int64)
 
 
@@ -231,7 +251,8 @@ def test_event_stream_explains_the_run(algo):
 
 
 class _CountingOracle(Oracle):
-    """Counts every pair a solver asks, repeats included."""
+    """Counts every pair a solver asks, repeats included: ``first_match``
+    makes each of its asks through the overriding ``query``."""
 
     __slots__ = ("asks",)
 
@@ -242,12 +263,6 @@ class _CountingOracle(Oracle):
     def query(self, u, v):
         self.asks += 1
         return super().query(u, v)
-
-    def first_match(self, v, reps):
-        reps = list(reps)
-        j = super().first_match(v, reps)
-        self.asks += len(reps) if j is None else j + 1
-        return j
 
 
 @pytest.mark.parametrize(
