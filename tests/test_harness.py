@@ -29,6 +29,9 @@ WEAK3 = ("0:0.2,1:0.3,2:0.5", "0:0.5,1:0.3,2:0.2")
 # sha256 of reports_csv for pinned_config(), recorded before instances were
 # shared across a trial's algorithms and before generate drew W in one pass
 PINNED_SWEEP_SHA256 = "15dcc856f6ba306f59577dee28a343e26d322db343d3524314324a2fee8a9ba2"
+# sha256 of emit's reports.json for pinned_config(): unlike the CSV it holds
+# every report field, constants and extras included
+PINNED_REPORTS_JSON_SHA256 = "e0992a782a9b416b21123957738c2a06d559ec0ba612295b94738d600c5c697b"
 
 
 def small_config(**overrides):
@@ -213,12 +216,14 @@ class TestRunExperiment:
         )
 
     @pytest.mark.parametrize("threads", ["1", "2"])
-    def test_pinned_sweep_csv_digest(self, monkeypatch, threads):
+    def test_pinned_sweep_csv_digest(self, monkeypatch, tmp_path, threads):
         monkeypatch.setenv("OCL_THREADS", threads)
         reports, _ = run_experiment(pinned_config())
         assert len(reports) == 48
         digest = hashlib.sha256(reports_csv(reports).encode()).hexdigest()
         assert digest == PINNED_SWEEP_SHA256
+        json_path = emit(reports, tmp_path, formats=("json",))["json"]
+        assert hashlib.sha256(json_path.read_bytes()).hexdigest() == PINNED_REPORTS_JSON_SHA256
 
     def test_generate_runs_once_per_trial(self, monkeypatch):
         monkeypatch.setenv("OCL_THREADS", "1")
