@@ -1,8 +1,15 @@
-"""Per-run reports and their CSV/JSON projections."""
+"""Per-run reports and their CSV/JSON projections, and :func:`finish`, where
+a solver's output first meets the truth."""
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field, fields
+from typing import Optional
+
+from .clustering import ClusteringState, InvariantError, misassigned_count, partition_equal
+from .instance import Instance
+from .oracle import Oracle
 
 # Fixed column order for report CSVs; the header is always emitted.
 CSV_COLUMNS = [
@@ -43,13 +50,6 @@ class RunReport:
     def __post_init__(self):
         if (self.misassigned == 0) != self.exact:
             raise ValueError("exact must hold iff misassigned == 0")
-        # The nk cap is unconditional for the query-only solvers. A Monte
-        # Carlo misassignment can transiently push the cluster count past the
-        # true k, so run_mc checks n times the most clusters it held instead.
-        if self.algo in ("lv", "baseline") and self.queries > self.n * max(self.k, 1):
-            raise ValueError(
-                f"{self.algo}: {self.queries} queries exceeds nk = {self.n * self.k}"
-            )
 
     def csv_row(self) -> list:
         return [
@@ -75,3 +75,58 @@ class RunReport:
         be missing."""
         keys = [f.name for f in fields(cls)]
         return cls(**{k: d[k] for k in keys if k in d or k not in ("constants", "extras")})
+
+
+def finish(
+    algo: str,
+    instance: Instance,
+    seed: int,
+    oracle: Oracle,
+    clustering: ClusteringState,
+    t0: float,
+    *,
+    exact_required: bool = True,
+    phases: Optional[dict] = None,
+    constants: Optional[dict] = None,
+    extras: Optional[dict] = None,
+) -> RunReport:
+    """Check a finished run against the truth and report it.
+
+    Apart from the oracle, this is the only code that reads the truth. Every
+    vertex must be clustered; the run must be exact when ``exact_required``
+    (the Las Vegas solvers); the oracle's count must not exceed n times the
+    number of clusters output (at least one), the most a run that queries
+    every existing cluster for every vertex can spend; and ``phases``, a
+    phase name -> queries split, must sum to that count. ``t0`` is the
+    ``perf_counter`` reading at the run's start: ``wall_ms`` covers the solve
+    and these checks. ``extras`` follows ``clusters_out``.
+    """
+    if clustering.num_unclustered != 0:
+        raise InvariantError(f"{algo} finished with unclustered vertices")
+    queries = oracle.count
+    split = {}
+    if phases is not None:
+        if queries != sum(phases.values()):
+            raise InvariantError(f"{algo} phase queries {phases} do not sum to {queries}")
+        split = {f"q_{name}": q for name, q in phases.items()}
+    cap = clustering.n * max(clustering.num_clusters, 1)
+    if queries > cap:
+        raise InvariantError(f"{algo} used {queries} queries, more than n * k = {cap}")
+    blocks = clustering.blocks()
+    exact = partition_equal(blocks, instance.labels)
+    if exact_required and not exact:
+        raise InvariantError(f"{algo} must recover the exact partition")
+    return RunReport(
+        algo=algo,
+        fingerprint=instance.fingerprint(),
+        n=instance.n,
+        k=instance.k,
+        seed=seed,
+        queries=queries,
+        **split,
+        exact=exact,
+        misassigned=misassigned_count(blocks, instance.labels),
+        wall_ms=(time.perf_counter() - t0) * 1000.0,
+        constants=constants or {},
+        extras={"clusters_out": clustering.num_clusters, **(extras or {})},
+    )

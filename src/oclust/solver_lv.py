@@ -13,11 +13,12 @@ from typing import Optional
 
 import numpy as np
 
+# misassigned_count and partition_equal stay importable here for perfbench/tracer.py
 from .clustering import ClusteringState, InvariantError, misassigned_count, partition_equal, promote
 from .estimation import hellinger2_rows, membership_scores, value_planes
-from .instance import Instance
+from .instance import Instance, SideInfo
 from .oracle import EventSink, Oracle
-from .report import RunReport
+from .report import RunReport, finish
 
 
 def run_baseline(
@@ -25,20 +26,27 @@ def run_baseline(
     seed: int,
     events: Optional[EventSink] = None,
 ) -> tuple[ClusteringState, RunReport]:
-    """One query per existing cluster, new cluster on all-negative answers.
+    """:func:`solve_baseline` on ``instance``, checked and reported.
 
-    Processes vertices in seeded-random order; exact by construction and
-    uses at most nk queries (exactly n-1 when k == 1). ``events`` receives
-    the events :func:`run_lv` documents.
+    ``events`` receives the events :func:`run_lv` documents.
     """
     t0 = time.perf_counter()
-    n = instance.n
     oracle = Oracle(instance.labels, events)
-    state = ClusteringState(n)
+    state = solve_baseline(oracle, seed)
+    return state, finish("baseline", instance, seed, oracle, state, t0)
+
+
+def solve_baseline(oracle: Oracle, seed: int) -> ClusteringState:
+    """One query per existing cluster, new cluster on all-negative answers.
+
+    Processes the oracle's ``n`` vertices in seeded-random order; exact by
+    construction, each vertex asks at most the clusters open before it
+    (exactly n-1 queries in all when k == 1).
+    """
+    state = ClusteringState(oracle.n)
     rng = np.random.default_rng(seed)
-    kmax = max(instance.k, 1)
-    for v in rng.permutation(n).tolist():
-        before = oracle.count
+    for v in rng.permutation(oracle.n).tolist():
+        before, open_before = oracle.count, state.num_clusters
         # min_member lists each cluster's representative by cluster id
         cid = oracle.first_match(v, state.min_member)
         if cid is None:
@@ -46,10 +54,12 @@ def run_baseline(
         else:
             state.add(v, cid)
         used = oracle.count - before
-        if used > kmax:
-            raise InvariantError(f"baseline used more than k = {kmax} queries on vertex {v}")
+        if used > open_before:
+            raise InvariantError(
+                f"baseline asked {used} queries on vertex {v} with {open_before} clusters open"
+            )
         _emit_place(oracle, v, cid, used)
-    return state, _exact_report("baseline", instance, seed, oracle, state, t0)
+    return state
 
 
 # Cells of the largest temporary a batch of speculative placements builds:
@@ -92,11 +102,12 @@ class LvState:
     cluster can instead be committed at once (:meth:`place_run`).
     """
 
-    def __init__(self, instance: Instance):
-        n, q = instance.n, instance.q
+    def __init__(self, side: SideInfo):
+        n, q = side.n, side.q
         self.n = n
         self.q = q
-        self.dense = instance.side.dense()
+        self.side = side
+        self.dense = side.dense()
         self.clustering = ClusteringState(n)
         self.m = n  # live pool slots
         self.ids = np.arange(n)  # slot -> unclustered vertex
@@ -372,6 +383,15 @@ def run_lv(
     events: Optional[EventSink] = None,
     paranoid: bool = False,
 ) -> tuple[ClusteringState, RunReport]:
+    """:func:`solve_lv` on ``instance``, checked and reported. LV draws no
+    randomness: ``seed`` is only recorded."""
+    t0 = time.perf_counter()
+    oracle = Oracle(instance.labels, events)
+    state = solve_lv(instance.side, oracle, paranoid)
+    return state, finish("lv", instance, seed, oracle, state, t0)
+
+
+def solve_lv(side: SideInfo, oracle: Oracle, paranoid: bool = False) -> ClusteringState:
     """Las Vegas clustering: always exact, side information only steers which
     cluster gets queried first.
 
@@ -392,7 +412,7 @@ def run_lv(
     round that breaks the run takes the single-step path. Every query, its
     order and every cached score are the same as round-by-round placement.
 
-    ``events``, when given, receives the oracle's ``query`` events and one
+    The oracle's event sink, if any, receives its ``query`` events and one
     ``{"event": "place", "v", "cluster", "queries"}`` per vertex, right
     after the queries that placed it: the cluster it joined or opened and
     how many queries it took. The stream is the same as round-by-round
@@ -400,13 +420,11 @@ def run_lv(
     :func:`membership_scores` after every round and every committed batch
     (tests only).
     """
-    t0 = time.perf_counter()
-    oracle = Oracle(instance.labels, events)
-    lv = LvState(instance)
+    lv = LvState(side)
 
     while lv.m > 0:
         if paranoid:
-            _check_cache(lv, instance)
+            _check_cache(lv)
         pool = lv.ids[: lv.m]
         if lv.num_rankable == 0:
             # no cluster is big enough to rank: a plain sweep
@@ -421,13 +439,11 @@ def run_lv(
                 schedule = _miss_schedule(missed, int(lv.pos[c]), lv)
                 _place(missed, schedule, oracle, lv, asked=1)
     if paranoid:
-        _check_cache(lv, instance)
-
-    report = _exact_report("lv", instance, seed, oracle, lv.clustering, t0)
-    return lv.clustering, report
+        _check_cache(lv)
+    return lv.clustering
 
 
-def _check_cache(lv: LvState, instance: Instance) -> None:
+def _check_cache(lv: LvState) -> None:
     """Raise InvariantError unless the pool and every cached score and best
     cluster equal a from-scratch recomputation exactly."""
     clustering = lv.clustering
@@ -445,7 +461,7 @@ def _check_cache(lv: LvState, instance: Instance) -> None:
         return
     cached = lv.scores[ranked, : lv.m]
     for c, col in zip(ranked, cached):
-        ref = membership_scores(pool, clustering.members[c], instance.side)
+        ref = membership_scores(pool, clustering.members[c], lv.side)
         if not np.array_equal(col, ref):
             raise InvariantError(f"LV cached scores of cluster {c} are stale")
     t = np.argmax(cached, axis=0)
@@ -489,31 +505,3 @@ def _emit_place(oracle: Oracle, v: int, cid: int, queries: int) -> None:
     if oracle.events is not None:
         oracle.events({"event": "place", "v": v, "cluster": cid, "queries": queries})
 
-
-def _exact_report(
-    algo: str,
-    instance: Instance,
-    seed: int,
-    oracle: Oracle,
-    state: ClusteringState,
-    t0: float,
-) -> RunReport:
-    blocks = state.blocks()
-    exact = partition_equal(blocks, instance.labels)
-    if not exact:
-        raise InvariantError(f"{algo} must recover the exact partition")
-    if oracle.count > instance.n * max(instance.k, 1):
-        raise InvariantError(f"{algo} used {oracle.count} queries, more than n * k")
-    mis = misassigned_count(blocks, instance.labels)
-    return RunReport(
-        algo=algo,
-        fingerprint=instance.fingerprint(),
-        n=instance.n,
-        k=instance.k,
-        seed=seed,
-        queries=oracle.count,
-        exact=exact,
-        misassigned=mis,
-        wall_ms=(time.perf_counter() - t0) * 1000.0,
-        extras={"clusters_out": state.num_clusters},
-    )

@@ -25,11 +25,12 @@ from typing import Optional
 
 import numpy as np
 
-from .clustering import ClusteringState, InvariantError, misassigned_count, partition_equal, promote
+# misassigned_count and partition_equal stay importable here for perfbench/tracer.py
+from .clustering import ClusteringState, misassigned_count, partition_equal, promote
 from .estimation import Constants, Estimates, estimates_from_counts, membership_scores
-from .instance import Instance
+from .instance import Instance, SideInfo
 from .oracle import EventSink, Oracle
-from .report import RunReport
+from .report import RunReport, finish
 
 BAND_MODES = ("lemma", "text")
 
@@ -96,33 +97,31 @@ class McState:
     vertex it places next, so ``queries`` is the charge since the last one.
     """
 
-    def __init__(
-        self, instance: Instance, rng: np.random.Generator, oracle: Optional[Oracle] = None
-    ):
-        self.clustering = ClusteringState(instance.n)
+    def __init__(self, side: SideInfo, rng: np.random.Generator, oracle: Optional[Oracle] = None):
+        self.side = side
+        self.clustering = ClusteringState(side.n)
         self.phase = "init"
         self.estimates: Optional[Estimates] = None
         self.grown_done: set[int] = set()
         self.order: list[int] = []  # cluster ids by (-size, id)
         self.pos: list[int] = []  # cluster id -> index in order
         self.rng = rng
-        self.pool = _Pool(range(instance.n))
-        self.dense = instance.side.dense()
-        self.q = instance.q
+        self.pool = _Pool(range(side.n))
+        self.dense = side.dense()
+        self.q = side.q
         # pooled pair-value counts over everything clustered so far
-        self.intra_counts = np.zeros(instance.q, dtype=np.int64)
-        self.inter_counts = np.zeros(instance.q, dtype=np.int64)
+        self.intra_counts = np.zeros(side.q, dtype=np.int64)
+        self.inter_counts = np.zeros(side.q, dtype=np.int64)
         self.n_intra = 0
         self.n_inter = 0
         # every clustered vertex in placement order: the live prefix [:n_clustered]
-        self.clustered = np.empty(instance.n, dtype=np.int64)
+        self.clustered = np.empty(side.n, dtype=np.int64)
         self.n_clustered = 0
         # bookkeeping for reports and invariants
-        self.placement = ["?"] * instance.n
+        self.placement = ["?"] * side.n
         self.q_phase = {"phase1": 0, "phase2": 0, "phase3": 0}
         self.vertices_phase = {"phase1": 0, "phase2": 0}
         self.waiting_total = 0
-        self.max_clusters_seen = 0
         self.oracle = oracle
         self.events = oracle.events if oracle is not None else None
         self.charged = 0  # oracle count at the previous placement event
@@ -187,7 +186,6 @@ class McState:
         self.pos.append(len(self.order))
         self.order.append(cid)
         self._mark_clustered(v, how)
-        self.max_clusters_seen = max(self.max_clusters_seen, self.clustering.num_clusters)
         return cid
 
     def _mark_clustered(self, v: int, how: str) -> None:
@@ -201,15 +199,15 @@ class McState:
             self.events({"event": "place", "v": v, "cluster": cid, "queries": queries, "how": how})
             self.charged = charged
 
-    def refresh_estimates(self, instance: Instance, consts: Constants) -> Estimates:
+    def refresh_estimates(self, consts: Constants) -> Estimates:
         self.estimates = estimates_from_counts(
             self.intra_counts,
             self.inter_counts,
             self.n_intra,
             self.n_inter,
-            instance.side.support,
+            self.side.support,
             consts,
-            instance.n,
+            self.side.n,
         )
         return self.estimates
 
@@ -244,7 +242,7 @@ def _place_by_query(
 
 
 def phase1(
-    instance: Instance,
+    side: SideInfo,
     oracle: Oracle,
     consts: Constants,
     rng: np.random.Generator,
@@ -253,8 +251,8 @@ def phase1(
 
     If the pool runs out first the clustering is already complete and exact.
     """
-    state = McState(instance, rng, oracle)
-    target = max(1, math.ceil(consts.effective_c * math.log(max(instance.n, 2))))
+    state = McState(side, rng, oracle)
+    target = max(1, math.ceil(consts.effective_c * math.log(max(side.n, 2))))
     before = oracle.count
     size = state.clustering.size
     # the largest cluster leads the size order
@@ -267,9 +265,7 @@ def phase1(
     return state
 
 
-def phase2_loop(
-    state: McState, instance: Instance, oracle: Oracle, consts: Constants
-) -> McState:
+def phase2_loop(state: McState, oracle: Oracle, consts: Constants) -> McState:
     """Alternate pooled re-estimation with clustering one more random vertex.
 
     Exits with ``state.phase == "grow"`` as soon as a not-yet-processed
@@ -278,7 +274,7 @@ def phase2_loop(
     """
     before = oracle.count
     while True:
-        m = state.refresh_estimates(instance, consts).m_threshold
+        m = state.refresh_estimates(consts).m_threshold
         if state.grown_cluster(m) is not None:
             state.phase = "grow"
             break
@@ -294,7 +290,6 @@ def phase2_loop(
 
 def phase3_process(
     state: McState,
-    instance: Instance,
     oracle: Oracle,
     consts: Constants,
     band: str = "lemma",
@@ -317,7 +312,7 @@ def phase3_process(
         raise ValueError("phase 3 needs a grown, unprocessed cluster")
 
     h = est.h
-    logn = math.log(max(instance.n, 2))
+    logn = math.log(max(state.side.n, 2))
     if band == "lemma":
         center, wobble = h / consts.b, 2.0 * h * h / (consts.b * math.sqrt(logn))
     else:
@@ -329,7 +324,7 @@ def phase3_process(
         include = np.array([], dtype=np.int64)
         waiting = pool_ids
     else:
-        scores = membership_scores(pool_ids, state.clustering.members[cid], instance.side)
+        scores = membership_scores(pool_ids, state.clustering.members[cid], state.side)
         if t_in <= 0.0:
             include = np.array([], dtype=np.int64)
             waiting = pool_ids[scores >= -t_wait]
@@ -357,61 +352,29 @@ def run_mc(
     band: str = "lemma",
     events: Optional[EventSink] = None,
 ) -> tuple[ClusteringState, RunReport]:
-    """Run the three phases to completion and report query accounting.
+    """:func:`solve_mc` on ``instance``, checked and reported with its
+    phase split.
 
     ``events``, when given, receives the oracle's ``query`` events and one
     ``place`` event per vertex (see :class:`McState`).
     """
     t0 = time.perf_counter()
-    n = instance.n
     oracle = Oracle(instance.labels, events)
-    rng = np.random.default_rng(seed)
-
-    state = phase1(instance, oracle, consts, rng)
-    state.max_clusters_seen = max(state.max_clusters_seen, state.clustering.num_clusters)
-    guard = 0
-    while True:
-        state = phase2_loop(state, instance, oracle, consts)
-        if state.phase == "done":
-            break
-        state = phase3_process(state, instance, oracle, consts, band=band)
-        guard += 1
-        if guard > 2 * n + 4:
-            raise RuntimeError("phase loop failed to terminate")
-
-    if state.clustering.num_unclustered != 0:
-        raise InvariantError("MC finished with unclustered vertices")
-    queries = oracle.count
-    if queries != sum(state.q_phase.values()):
-        raise InvariantError(f"MC phase queries {state.q_phase} do not sum to {queries}")
-    kmax = max(state.max_clusters_seen, 1)
-    # monotone degradation: never worse than querying everything
-    if queries > n * kmax:
-        raise InvariantError(f"MC used {queries} queries, more than n * k = {n * kmax}")
-
-    blocks = state.clustering.blocks()
-    mis = misassigned_count(blocks, instance.labels)
-    exact = partition_equal(blocks, instance.labels)
-    if exact != (mis == 0):
-        raise InvariantError("MC exactness disagrees with the misassigned count")
+    state = solve_mc(instance.side, oracle, consts, seed, band)
     est = state.estimates
-    report = RunReport(
-        algo="mc",
-        fingerprint=instance.fingerprint(),
-        n=n,
-        k=instance.k,
-        seed=seed,
-        queries=queries,
-        exact=exact,
-        misassigned=mis,
-        wall_ms=(time.perf_counter() - t0) * 1000.0,
-        q_phase1=state.q_phase["phase1"],
-        q_phase2=state.q_phase["phase2"],
-        q_phase3=state.q_phase["phase3"],
+    report = finish(
+        "mc",
+        instance,
+        seed,
+        oracle,
+        state.clustering,
+        t0,
+        exact_required=False,
+        phases=state.q_phase,
         constants={**consts.as_dict(), "band": band},
         extras={
-            "clusters_out": state.clustering.num_clusters,
-            "max_clusters_seen": state.max_clusters_seen,
+            # MC never closes a cluster, so it never held more than it output
+            "max_clusters_seen": state.clustering.num_clusters,
             "vertices_phase1": state.vertices_phase["phase1"],
             "vertices_phase2": state.vertices_phase["phase2"],
             "waiting_total": state.waiting_total,
@@ -421,3 +384,27 @@ def run_mc(
         },
     )
     return state.clustering, report
+
+
+def solve_mc(
+    side: SideInfo,
+    oracle: Oracle,
+    consts: Constants = Constants(),
+    seed: int = 0,
+    band: str = "lemma",
+) -> McState:
+    """Run the three phases until every vertex is clustered; the state holds
+    the clustering and the query accounting."""
+    if band not in BAND_MODES:
+        raise ValueError(f"band must be one of {BAND_MODES}")
+    rng = np.random.default_rng(seed)
+    state = phase1(side, oracle, consts, rng)
+    guard = 0
+    while True:
+        state = phase2_loop(state, oracle, consts)
+        if state.phase == "done":
+            return state
+        state = phase3_process(state, oracle, consts, band=band)
+        guard += 1
+        if guard > 2 * side.n + 4:
+            raise RuntimeError("phase loop failed to terminate")

@@ -285,7 +285,7 @@ class TestPooledEstimates:
         fp, fm = bernoulli(0.8), bernoulli(0.2)
         inst = generate(1000, Balanced(4), fp, fm, seed=17)
         consts = Constants(scale=0.025)
-        state = phase1(inst, Oracle(inst.labels), consts, np.random.default_rng(17))
+        state = phase1(inst.side, Oracle(inst.labels), consts, np.random.default_rng(17))
         est = pooled_estimates(state.clustering.members, inst.side, consts, inst.n)
         assert est.h == pytest.approx(hellinger(fp, fm), abs=0.1)
 

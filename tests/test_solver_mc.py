@@ -27,7 +27,7 @@ STRONG = (bernoulli(0.9), bernoulli(0.1))
 def mc_parts(inst, consts, seed):
     oracle = Oracle(inst.labels)
     rng = np.random.default_rng(seed)
-    state = phase1(inst, oracle, consts, rng)
+    state = phase1(inst.side, oracle, consts, rng)
     return oracle, state
 
 
@@ -73,7 +73,7 @@ class TestPhase2:
         consts = Constants(scale=0.02)
         oracle, state = mc_parts(inst, consts, seed=5)
         before = oracle.count
-        state = phase2_loop(state, inst, Oracle(inst.labels), consts)
+        state = phase2_loop(state, Oracle(inst.labels), consts)
         # fresh oracle proves no queries were needed; state must flip to grow
         assert state.phase == "grow"
         assert state.q_phase["phase2"] == 0
@@ -86,8 +86,8 @@ class TestPhase2:
         consts = Constants(scale=0.01)
         oracle = Oracle(inst.labels)
         rng = np.random.default_rng(0)
-        state = phase1(inst, oracle, consts, rng)
-        state = phase2_loop(state, inst, oracle, consts)
+        state = phase1(inst.side, oracle, consts, rng)
+        state = phase2_loop(state, oracle, consts)
         if state.phase == "grow":
             assert state.clustering.num_clusters >= 2
 
@@ -101,8 +101,8 @@ class TestPhase2:
         for seed in seeds:
             inst = generate(2000, Balanced(5), fp, fm, seed=3000 + seed)
             oracle = Oracle(inst.labels)
-            state = phase1(inst, oracle, consts, np.random.default_rng(seed))
-            state = phase2_loop(state, inst, oracle, consts)
+            state = phase1(inst.side, oracle, consts, np.random.default_rng(seed))
+            state = phase2_loop(state, oracle, consts)
             assert state.phase == "grow"
             m = state.estimates.m_threshold
             grown = [
@@ -121,15 +121,15 @@ class TestPhase3:
         inst = generate(200, Balanced(4), bernoulli(1.0), bernoulli(0.0), seed=9)
         consts = Constants(scale=0.05)
         oracle = Oracle(inst.labels)
-        state = phase1(inst, oracle, consts, np.random.default_rng(1))
-        state = phase2_loop(state, inst, oracle, consts)
+        state = phase1(inst.side, oracle, consts, np.random.default_rng(1))
+        state = phase2_loop(state, oracle, consts)
         assert state.phase == "grow"
         grown_sizes = {
             c: state.clustering.size(c) for c in range(state.clustering.num_clusters)
         }
         cid = max(grown_sizes, key=lambda c: (grown_sizes[c], -c))
         before = oracle.count
-        state = phase3_process(state, inst, oracle, consts)
+        state = phase3_process(state, oracle, consts)
         # every unclustered member of the grown cluster's block joins free
         # (membership 0 with h = 1), vertices of other blocks stay untouched
         assert oracle.count == before
@@ -205,9 +205,9 @@ class TestRunMc:
         refresh = McState.refresh_estimates
         seen = []
 
-        def checked_refresh(state, instance, consts):
-            incr = refresh(state, instance, consts)
-            pure = pooled_estimates(state.clustering.members, instance.side, consts, instance.n)
+        def checked_refresh(state, consts):
+            incr = refresh(state, consts)
+            pure = pooled_estimates(state.clustering.members, state.side, consts, state.side.n)
             assert incr == pure
             seen.append(state.n_clustered)
             return incr
@@ -228,8 +228,8 @@ class TestRunMc:
         refresh = McState.refresh_estimates
         seen = []
 
-        def spy(state, instance, consts):
-            seen.append(refresh(state, instance, consts))
+        def spy(state, consts):
+            seen.append(refresh(state, consts))
             return seen[-1]
 
         monkeypatch.setattr(McState, "refresh_estimates", spy)
@@ -267,6 +267,15 @@ class TestRunMc:
         with pytest.raises(ValueError):
             run_mc(inst, Constants(scale=0.03), 1, band="bogus")
 
+    def test_unknown_band_fails_before_any_query(self):
+        # at the default scale phase 3 never runs, so only solve_mc's own
+        # check can reject the band
+        inst = generate(200, Balanced(4), bernoulli(0.9), bernoulli(0.1), seed=8)
+        events = []
+        with pytest.raises(ValueError, match="band"):
+            run_mc(inst, Constants(), 0, band="bogus", events=events.append)
+        assert events == []
+
     def test_report_phases_sum_to_total(self):
         inst = generate(600, Balanced(5), bernoulli(0.9), bernoulli(0.1), seed=10)
         _, report = run_mc(inst, Constants(scale=0.02), 4)
@@ -279,7 +288,7 @@ def _placed_state(inst, seed, n_placed):
     """A McState with a random prefix of vertices placed by their truth
     labels (singletons and joins), and the rest in random order."""
     order = np.random.default_rng(seed).permutation(inst.n).tolist()
-    state = McState(inst, np.random.default_rng(seed))
+    state = McState(inst.side, np.random.default_rng(seed))
     cid_of = {}
     for v in order[:n_placed]:
         label = int(inst.labels[v])
@@ -410,11 +419,13 @@ mc.run_mc(generate(300, Balanced(3), bernoulli(0.9), bernoulli(0.1), seed=1), Co
     "must recover the exact partition": """
 from oclust.clustering import ClusteringState
 from oclust.oracle import Oracle
-from oclust.solver_lv import _exact_report
+from oclust.report import finish
 inst = generate(20, Balanced(2), bernoulli(0.9), bernoulli(0.1), seed=0)
 state = ClusteringState(inst.n)
 state.new_cluster(0)
-_exact_report("lv", inst, 0, Oracle(inst.labels), state, 0.0)
+for v in range(1, inst.n):
+    state.add(v, 0)
+finish("lv", inst, 0, Oracle(inst.labels), state, 0.0)
 """,
     "queries on vertex": """
 import oclust.solver_lv as lv
@@ -425,6 +436,16 @@ class Chatty(lv.Oracle):
         return 3 * super().count
 lv.Oracle = Chatty
 lv.run_baseline(generate(30, Balanced(3), bernoulli(0.9), bernoulli(0.1), seed=0), 0)
+""",
+    "more than n * k": """
+import oclust.solver_lv as lv
+class Overcharged(lv.Oracle):
+    __slots__ = ()
+    @property
+    def count(self):
+        return super().count + self.n * self.n
+lv.Oracle = Overcharged
+lv.run_lv(generate(30, Balanced(3), bernoulli(0.9), bernoulli(0.1), seed=0), 0)
 """,
 }
 
