@@ -3,6 +3,7 @@ import json
 import pickle
 import xml.etree.ElementTree as ET
 from itertools import product
+from pathlib import Path
 from statistics import mean, median
 
 import pytest
@@ -63,7 +64,18 @@ def pinned_config():
     )
 
 
+# the sweeps the README runs with oclust bench --config
+COMMITTED_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
+
+
 class TestConfig:
+    def test_committed_configs_are_there(self):
+        assert {p.name for p in COMMITTED_CONFIGS} >= {"savings.json", "scaling.json"}
+
+    @pytest.mark.parametrize("path", COMMITTED_CONFIGS, ids=lambda p: p.name)
+    def test_committed_config_loads(self, path):
+        assert ExperimentConfig.from_file(path).algos
+
     def test_round_trip_from_file(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(
