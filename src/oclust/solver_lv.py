@@ -44,11 +44,11 @@ def solve_baseline(oracle: Oracle, seed: int) -> ClusteringState:
     (exactly n-1 queries in all when k == 1).
     """
     state = ClusteringState(oracle.n)
+    reps = state.min_member  # each cluster's representative, by cluster id
     rng = np.random.default_rng(seed)
     for v in rng.permutation(oracle.n).tolist():
-        before, open_before = oracle.count, state.num_clusters
-        # min_member lists each cluster's representative by cluster id
-        cid = oracle.first_match(v, state.min_member)
+        before, open_before = oracle.count, len(reps)
+        cid = oracle.first_match(v, reps)
         if cid is None:
             cid = state.new_cluster(v)
         else:
