@@ -264,17 +264,13 @@ class TestRunMc:
             _, report = run_mc(inst, Constants(scale=0.03), 1, band=band)
             assert report.constants["band"] == band
             assert report.exact
-        with pytest.raises(ValueError):
-            run_mc(inst, Constants(scale=0.03), 1, band="bogus")
-
-    def test_unknown_band_fails_before_any_query(self):
-        # at the default scale phase 3 never runs, so only solve_mc's own
-        # check can reject the band
-        inst = generate(200, Balanced(4), bernoulli(0.9), bernoulli(0.1), seed=8)
-        events = []
-        with pytest.raises(ValueError, match="band"):
-            run_mc(inst, Constants(), 0, band="bogus", events=events.append)
-        assert events == []
+        # an unknown band fails before the first query, also at the default
+        # scale, where phase 3 never runs
+        for consts in (Constants(scale=0.03), Constants()):
+            events = []
+            with pytest.raises(ValueError, match="band"):
+                run_mc(inst, consts, 1, band="bogus", events=events.append)
+            assert events == []
 
     def test_report_phases_sum_to_total(self):
         inst = generate(600, Balanced(5), bernoulli(0.9), bernoulli(0.1), seed=10)
