@@ -21,14 +21,7 @@ from .divergence import (
     symmetric_kl,
     to_text,
 )
-from .estimation import (
-    Constants,
-    Estimates,
-    inter_dist,
-    intra_dist,
-    membership,
-    pooled_estimates,
-)
+from .estimation import Constants, Estimates
 from .harness import ExperimentConfig, emit, run_experiment
 from .instance import (
     Balanced,
@@ -69,16 +62,12 @@ __all__ = [
     "generate",
     "hellinger",
     "hellinger2",
-    "inter_dist",
-    "intra_dist",
     "kl",
     "lb_error_prob",
     "lb_query_budget",
     "load",
-    "membership",
     "misassigned_count",
     "partition_equal",
-    "pooled_estimates",
     "run_baseline",
     "run_experiment",
     "run_lv",

@@ -99,6 +99,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_gen(args) -> int:
+    if args.sizes and args.skew is not None:
+        raise ValueError("--skew applies only with --k, not with --sizes")
     if args.sizes:
         spec = instance_mod.ExplicitSizes(tuple(int(s) for s in args.sizes.split(",")))
     elif args.skew is not None:

@@ -52,9 +52,6 @@ class ClusteringState:
             self.min_member[cid] = v
         self.label_of[v] = cid
 
-    def unclustered(self) -> np.ndarray:
-        return np.flatnonzero(self.label_of == -1)
-
     @property
     def num_unclustered(self) -> int:
         return int(np.count_nonzero(self.label_of == -1))

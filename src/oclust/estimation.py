@@ -1,6 +1,9 @@
-"""Empirical inter/intra distributions, membership scores, and the iterative
-size threshold driving the Monte Carlo solver.
+"""Pooled estimates of h from integer pair-value counts, the membership
+score kernels, and the iterative size threshold driving the Monte Carlo
+solver.
 
+Side-information values are counted as integers and scored a whole pool at
+a time; nothing here builds a :class:`~oclust.divergence.Distribution`.
 All functions are pure in (W, clusters); scores for different vertices
 against a frozen clustering snapshot can be evaluated concurrently.
 """
@@ -9,12 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .divergence import Distribution, Support, hellinger2, hellinger2_probs
+from .divergence import Support, hellinger2_probs
 from .instance import SideInfo
 
 
@@ -66,9 +68,9 @@ class Estimates:
     empirical distributions, and the size threshold h implies.
 
     ``intra_counts`` counts the values of ``n_intra_pairs`` within-cluster
-    pairs, ``inter_counts`` those of ``n_inter_pairs`` cross-cluster pairs;
-    :attr:`p_plus` and :attr:`p_minus` are their distributions, built on
-    first use (None without pairs).
+    pairs, ``inter_counts`` those of ``n_inter_pairs`` cross-cluster pairs,
+    one count per value of ``support``; their ratios are the empirical
+    within- and cross-cluster distributions.
 
     ``m_threshold is None`` means "no finite threshold yet, keep querying":
     either one side has no pairs to estimate from, or the two estimates
@@ -84,18 +86,6 @@ class Estimates:
     inter_counts: tuple[int, ...]
     support: Support
 
-    @cached_property
-    def p_plus(self) -> Optional[Distribution]:
-        return _pmf(self.support, self.intra_counts, self.n_intra_pairs)
-
-    @cached_property
-    def p_minus(self) -> Optional[Distribution]:
-        return _pmf(self.support, self.inter_counts, self.n_inter_pairs)
-
-
-def _pmf(support: Support, counts: tuple[int, ...], pairs: int) -> Optional[Distribution]:
-    return Distribution(support, [c / pairs for c in counts]) if pairs > 0 else None
-
 
 def threshold_from_h(h: Optional[float], consts: Constants, n: int) -> Optional[int]:
     """ceil(scale * C * log n / h^2), capped at n; None when h is 0/unknown."""
@@ -103,77 +93,6 @@ def threshold_from_h(h: Optional[float], consts: Constants, n: int) -> Optional[
         return None
     m = math.ceil(consts.effective_c * math.log(n) / (h * h))
     return max(1, min(n, m))
-
-
-def inter_dist(v: int, cluster: Iterable[int], side: SideInfo) -> Distribution:
-    """Empirical distribution of the side-information values between v and
-    the members of a cluster: p_{v,C}(i) = |{u in C: w_uv = a_i}| / |C|."""
-    members = np.asarray(list(cluster), dtype=np.int64)
-    if members.size == 0:
-        raise ValueError("empty cluster")
-    if (members == v).any():
-        raise ValueError(f"element {v} is a member of the cluster")
-    counts = _value_counts(side.dense()[v, members], side.q)
-    return Distribution(side.support, counts / members.size)
-
-
-def intra_dist(cluster: Iterable[int], side: SideInfo) -> Distribution:
-    """Empirical pmf over a cluster's internal pairs.
-
-    Each unordered pair contributes twice against the |C|(|C|-1) ordered-pair
-    normalization, which is the same as counting unordered pairs once over
-    C(|C|, 2).
-    """
-    members = np.asarray(list(cluster), dtype=np.int64)
-    if members.size < 2:
-        raise ValueError("intra distribution needs at least 2 members")
-    sub = side.dense()[np.ix_(members, members)]
-    iu = np.triu_indices(members.size, k=1)
-    counts = _value_counts(sub[iu], side.q)
-    return Distribution(side.support, counts / (members.size * (members.size - 1) / 2))
-
-
-def membership(v: int, cluster: Iterable[int], side: SideInfo) -> float:
-    """Affinity of v to the cluster: minus the squared Hellinger divergence
-    between the empirical inter and intra distributions. In [-1, 0]; higher
-    means v looks more like a member."""
-    return -hellinger2(inter_dist(v, cluster, side), intra_dist(cluster, side))
-
-
-def pooled_estimates(
-    clusters: Sequence[Sequence[int]],
-    side: SideInfo,
-    consts: Constants,
-    n: int,
-) -> Estimates:
-    """Pool every within-cluster pair into p_plus and every cross-cluster
-    pair into p_minus, over all clustered elements (including clusters
-    already fully processed; more pairs only tighten the estimates)."""
-    if not clusters:
-        raise ValueError("need at least one cluster")
-    q = side.q
-    dense = side.dense()
-    intra = np.zeros(q, dtype=np.int64)
-    n_intra = 0
-    all_members: list[int] = []
-    for cl in clusters:
-        members = np.asarray(list(cl), dtype=np.int64)
-        all_members.extend(members.tolist())
-        if members.size >= 2:
-            sub = dense[np.ix_(members, members)]
-            iu = np.triu_indices(members.size, k=1)
-            intra += _value_counts(sub[iu], q).astype(np.int64)
-            n_intra += members.size * (members.size - 1) // 2
-
-    everyone = np.asarray(all_members, dtype=np.int64)
-    total = np.zeros(q, dtype=np.int64)
-    if everyone.size >= 2:
-        sub = dense[np.ix_(everyone, everyone)]
-        iu = np.triu_indices(everyone.size, k=1)
-        total = _value_counts(sub[iu], q).astype(np.int64)
-    inter = total - intra
-    n_inter = everyone.size * (everyone.size - 1) // 2 - n_intra
-    return estimates_from_counts(intra, inter, n_intra, n_inter, side.support, consts, n)
 
 
 def estimates_from_counts(
@@ -188,9 +107,8 @@ def estimates_from_counts(
     """Estimates from pooled pair-value counts: ``intra`` over ``n_intra``
     within-cluster pairs, ``inter`` over ``n_inter`` cross-cluster pairs.
 
-    h is :func:`~oclust.divergence.hellinger2_probs` of the count ratios, the
-    value :func:`~oclust.divergence.hellinger` gives for ``p_plus`` and
-    ``p_minus``, computed without building either distribution.
+    h is the square root of :func:`~oclust.divergence.hellinger2_probs` of
+    the count ratios, the two empirical distributions.
     """
     intra = _checked_counts(intra, n_intra, support.q, "intra")
     inter = _checked_counts(inter, n_inter, support.q, "inter")
@@ -269,13 +187,17 @@ def hellinger2_rows(counts: np.ndarray, total, p_ref: np.ndarray) -> np.ndarray:
 
 
 def membership_scores(pool: np.ndarray, members: Sequence[int], side: SideInfo) -> np.ndarray:
-    """Vectorized membership of every pool vertex against one cluster;
-    equals :func:`membership` elementwise."""
+    """Membership of every pool vertex in one cluster: minus the squared
+    Hellinger divergence between the vertex's value counts toward the
+    members, over the cluster size, and the cluster's pair value counts,
+    over its s(s-1)/2 pairs. In [-1, 0]; higher means the vertex looks more
+    like a member. Needs at least 2 members."""
     members = np.asarray(list(members), dtype=np.int64)
-    p_c = intra_dist(members, side).probs_array
-    counts = value_planes(side.dense(), side.q, pool, members)
-    return -hellinger2_rows(counts, members.size, p_c[:, None])
-
-
-def _value_counts(values: np.ndarray, q: int) -> np.ndarray:
-    return np.bincount(values.ravel().astype(np.int64), minlength=q).astype(np.float64)
+    s = members.size
+    if s < 2:
+        raise ValueError("membership needs a cluster of at least 2 members")
+    dense = side.dense()
+    pairs = dense[np.ix_(members, members)][np.triu_indices(s, k=1)]
+    p_c = np.bincount(pairs, minlength=side.q) / (s * (s - 1) / 2)
+    counts = value_planes(dense, side.q, pool, members)
+    return -hellinger2_rows(counts, s, p_c[:, None])

@@ -190,11 +190,6 @@ class SideInfo:
             out[start : start + row.size] = row
         return out
 
-    def value_index(self, u: int, v: int) -> int:
-        if u == v:
-            raise ValueError("no diagonal entries")
-        return int(self._w[min(u, v), max(u, v)])
-
     def dense(self) -> np.ndarray:
         """Full symmetric n x n index matrix (diagonal zero), read-only.
 

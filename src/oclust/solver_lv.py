@@ -15,7 +15,7 @@ import numpy as np
 
 # misassigned_count and partition_equal stay importable here for perfbench/tracer.py
 from .clustering import ClusteringState, InvariantError, misassigned_count, partition_equal, promote
-from .estimation import hellinger2_rows, membership_scores, value_planes
+from .estimation import hellinger2_rows, value_planes
 from .instance import Instance, SideInfo
 from .oracle import EventSink, Oracle
 from .report import RunReport, finish
@@ -86,10 +86,9 @@ class LvState:
       a, for a = 1..q-1, as int32 planes; value 0's count is the cluster size
       minus their sum;
     - ``scores[c, i]`` is its membership in c, for every rankable cluster c
-      (size >= 2), bit for bit the scalar :func:`~oclust.estimation.membership`
-      (both sum their terms left to right); only the pool rows
-      are scored, and a cluster is rescored only when it grew
-      (``scored_at[c]`` is the size it was scored at);
+      (size >= 2), bit for bit :func:`~oclust.estimation.membership_scores`;
+      only the pool rows are scored, and a cluster is rescored only when it
+      grew (``scored_at[c]`` is the size it was scored at);
     - ``best[i]`` is the first maximum of ``scores[:, i]`` over the rankable
       clusters taken in size order, so on equal scores the earlier cluster
       in ``order`` (the larger one, then the older one) wins; ``best_score``
@@ -381,17 +380,16 @@ def run_lv(
     instance: Instance,
     seed: int,
     events: Optional[EventSink] = None,
-    paranoid: bool = False,
 ) -> tuple[ClusteringState, RunReport]:
     """:func:`solve_lv` on ``instance``, checked and reported. LV draws no
     randomness: ``seed`` is only recorded."""
     t0 = time.perf_counter()
     oracle = Oracle(instance.labels, events)
-    state = solve_lv(instance.side, oracle, paranoid)
+    state = solve_lv(instance.side, oracle)
     return state, finish("lv", instance, seed, oracle, state, t0)
 
 
-def solve_lv(side: SideInfo, oracle: Oracle, paranoid: bool = False) -> ClusteringState:
+def solve_lv(side: SideInfo, oracle: Oracle) -> ClusteringState:
     """Las Vegas clustering: always exact, side information only steers which
     cluster gets queried first.
 
@@ -416,15 +414,11 @@ def solve_lv(side: SideInfo, oracle: Oracle, paranoid: bool = False) -> Clusteri
     ``{"event": "place", "v", "cluster", "queries"}`` per vertex, right
     after the queries that placed it: the cluster it joined or opened and
     how many queries it took. The stream is the same as round-by-round
-    placement's. ``paranoid`` checks the whole cache against a from-scratch
-    :func:`membership_scores` after every round and every committed batch
-    (tests only).
+    placement's.
     """
     lv = LvState(side)
 
     while lv.m > 0:
-        if paranoid:
-            _check_cache(lv)
         pool = lv.ids[: lv.m]
         if lv.num_rankable == 0:
             # no cluster is big enough to rank: a plain sweep
@@ -438,38 +432,7 @@ def solve_lv(side: SideInfo, oracle: Oracle, paranoid: bool = False) -> Clusteri
             if missed is not None:
                 schedule = _miss_schedule(missed, int(lv.pos[c]), lv)
                 _place(missed, schedule, oracle, lv, asked=1)
-    if paranoid:
-        _check_cache(lv)
     return lv.clustering
-
-
-def _check_cache(lv: LvState) -> None:
-    """Raise InvariantError unless the pool and every cached score and best
-    cluster equal a from-scratch recomputation exactly."""
-    clustering = lv.clustering
-    pool = lv.ids[: lv.m]
-    if not (
-        np.array_equal(np.sort(pool), clustering.unclustered())
-        and np.array_equal(lv.slot[pool], np.arange(lv.m))
-    ):
-        raise InvariantError("LV pool slots disagree with the clustering")
-    expected = sorted(range(clustering.num_clusters), key=lambda c: (-clustering.size(c), c))
-    if lv.order != expected or lv.rankable() != [c for c in expected if clustering.size(c) >= 2]:
-        raise InvariantError("LV cluster order is stale")
-    ranked = lv.rankable()
-    if not ranked:
-        return
-    cached = lv.scores[ranked, : lv.m]
-    for c, col in zip(ranked, cached):
-        ref = membership_scores(pool, clustering.members[c], lv.side)
-        if not np.array_equal(col, ref):
-            raise InvariantError(f"LV cached scores of cluster {c} are stale")
-    t = np.argmax(cached, axis=0)
-    if not (
-        np.array_equal(np.array(ranked)[t], lv.best[: lv.m])
-        and np.array_equal(cached[t, np.arange(lv.m)], lv.best_score[: lv.m])
-    ):
-        raise InvariantError("LV cached best clusters are stale")
 
 
 def _miss_schedule(v: int, j: int, lv: LvState) -> list[int]:

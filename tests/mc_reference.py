@@ -16,8 +16,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from estimation_reference import pooled_estimates
 
-from oclust.estimation import membership_scores, pooled_estimates
+from oclust.estimation import membership_scores
 from oclust.oracle import Oracle
 from oclust.solver_mc import run_mc
 

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import random_distribution
+from estimation_reference import membership
 from highprec import dec_hellinger2, dec_kl, dec_symmetric_kl
 from oclust.bounds import (
     LowerBoundInputs,
@@ -23,7 +24,7 @@ from oclust.bounds import (
 )
 from oclust.cli import main as cli_main
 from oclust.divergence import bernoulli, hellinger2, kl, symmetric_kl
-from oclust.estimation import Constants, membership
+from oclust.estimation import Constants
 from oclust.instance import Balanced, ExplicitSizes, generate
 from oclust.solver_lv import run_baseline, run_lv
 from oclust.solver_mc import run_mc

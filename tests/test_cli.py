@@ -1,10 +1,18 @@
 import hashlib
 import json
+import math
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from oclust.cli import main
+from oclust.divergence import bernoulli, to_text
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(capsys, *argv):
@@ -69,6 +77,17 @@ def test_gen_with_explicit_sizes_and_skew(tmp_path, capsys):
         "--fminus", "0:0.8,1:0.2", "--out", str(tmp_path / "b.oclb"),
     )
     assert code == 0 and json.loads(out)["k"] == 3
+
+
+def test_gen_skew_with_explicit_sizes_exits_two(tmp_path, capsys):
+    out = tmp_path / "x.oclb"
+    code = main(
+        ["gen", "--n", "6", "--sizes", "3,3", "--skew", "4", "--fplus", "0:0.2,1:0.8",
+         "--fminus", "0:0.8,1:0.2", "--out", str(out)]
+    )
+    assert code == 2
+    assert "--skew" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("fplus", ["0:nan,1:nan", "0:0.5,inf:0.5"])
@@ -155,6 +174,33 @@ def test_bounds_forms(capsys):
     )
     assert code == 0
     assert json.loads(out)["value"] == pytest.approx((1 - (10 / 100) ** 0.5) ** 2)
+
+
+def test_sparse_sbm_bounds_script_matches_cli(capsys):
+    # the script's exact Fano-KL column is `oclust bounds --form fano-kl` on
+    # f_plus = Bern(a' ln n / n), f_minus = Bern(b' ln n / n), b' = 1
+    src = str(ROOT / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "sparse_sbm_bounds.py"),
+         "--n", "1000", "--k", "4", "--a-primes", "2", "4"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    lines = [ln.split() for ln in out.stdout.splitlines() if not ln.startswith("#")]
+    header, rows = lines[0], lines[1:]
+    assert len(rows) == 2 and all(len(row) == len(header) for row in rows)
+    row = dict(zip(header, rows[0]))
+    n, k = 1000, 4
+    code, cli_out = run_cli(
+        capsys,
+        "bounds", "--form", "fano-kl", "--n", str(n), "--k", str(k),
+        "--fplus", to_text(bernoulli(float(row["a_prime"]) * math.log(n) / n)),
+        "--fminus", to_text(bernoulli(math.log(n) / n)),
+    )
+    assert code == 0
+    value = json.loads(cli_out)["value"]
+    assert value > 0 and f"{value:.4f}" == row["kl_exact"]
 
 
 def test_bounds_missing_argument_is_usage_error(capsys):

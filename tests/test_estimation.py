@@ -2,6 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from estimation_reference import (
+    inter_dist,
+    intra_dist,
+    membership,
+    p_minus,
+    p_plus,
+    pooled_estimates,
+)
 from triangle import pair_index
 
 from oclust.divergence import (
@@ -16,13 +24,9 @@ from oclust.divergence import (
 from oclust import estimation
 from oclust.estimation import (
     Constants,
-    inter_dist,
-    intra_dist,
-    membership,
     membership_scores,
     estimates_from_counts,
     hellinger2_rows,
-    pooled_estimates,
     threshold_from_h,
     value_planes,
 )
@@ -162,6 +166,11 @@ class TestMembership:
                 slow = [membership(int(v), members, inst.side) for v in pool]
                 assert fast.tolist() == slow, (fp, members)
 
+    def test_vectorized_scores_need_two_members(self):
+        side = hand_side(4, {(0, 1): 1})
+        with pytest.raises(ValueError, match="at least 2 members"):
+            membership_scores(np.array([1, 2]), [0], side)
+
 
 class TestInterCounts:
     """The row-block gather against the cell-by-cell np.ix_ form it replaced."""
@@ -262,15 +271,15 @@ class TestPooledEstimates:
     def test_single_pair_cluster(self):
         side = hand_side(4, {(0, 1): 1})
         est = pooled_estimates([[0, 1]], side, Constants(), n=4)
-        assert est.p_plus is not None and est.p_plus.probs == (0.0, 1.0)
-        assert est.p_minus is None
+        assert p_plus(est) is not None and p_plus(est).probs == (0.0, 1.0)
+        assert p_minus(est) is None
         assert est.m_threshold is None
 
     def test_two_singletons(self):
         side = hand_side(4, {(0, 1): 1})
         est = pooled_estimates([[0], [1]], side, Constants(), n=4)
-        assert est.p_plus is None
-        assert est.p_minus is not None and est.p_minus.probs == (0.0, 1.0)
+        assert p_plus(est) is None
+        assert p_minus(est) is not None and p_minus(est).probs == (0.0, 1.0)
         assert est.m_threshold is None
 
     def test_pool_counts(self):
@@ -278,8 +287,8 @@ class TestPooledEstimates:
         est = pooled_estimates([[0, 1], [2, 3]], side, Constants(), n=5)
         assert est.n_intra_pairs == 2
         assert est.n_inter_pairs == 4
-        assert est.p_plus.probs == (0.0, 1.0)
-        assert est.p_minus.probs == (0.75, 0.25)
+        assert p_plus(est).probs == (0.0, 1.0)
+        assert p_minus(est).probs == (0.75, 0.25)
 
     def test_estimates_track_truth_after_phase1(self):
         fp, fm = bernoulli(0.8), bernoulli(0.2)
@@ -304,17 +313,17 @@ class TestEstimatesFromCounts:
         est = estimates_from_counts(
             np.array(intra), list(inter), n_intra, n_inter, support, Constants(), 1000
         )
-        # the pmfs are built on first use, with the values they always had
-        assert est.p_plus == Distribution(support, np.array(intra) / n_intra)
-        assert est.p_minus == Distribution(support, np.array(inter) / n_inter)
-        assert est.h == hellinger(est.p_plus, est.p_minus)
+        # h is the Hellinger divergence of the count ratios' distributions
+        assert p_plus(est) == Distribution(support, np.array(intra) / n_intra)
+        assert p_minus(est) == Distribution(support, np.array(inter) / n_inter)
+        assert est.h == hellinger(p_plus(est), p_minus(est))
         assert est.m_threshold == threshold_from_h(est.h, Constants(), 1000)
         assert est.intra_counts == intra and est.inter_counts == inter
 
     def test_no_pairs_no_pmf(self):
         est = estimates_from_counts([0, 0], [2, 1], 0, 3, BIN, Constants(), 10)
-        assert est.p_plus is None and est.h is None and est.m_threshold is None
-        assert est.p_minus.probs == (2 / 3, 1 / 3)
+        assert p_plus(est) is None and est.h is None and est.m_threshold is None
+        assert p_minus(est).probs == (2 / 3, 1 / 3)
 
     @pytest.mark.parametrize(
         "intra, n_intra",

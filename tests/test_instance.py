@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
-from triangle import pair_index
+from triangle import pair_index, value_index
 
 from oclust import instance as instance_mod
 from oclust.divergence import bernoulli, from_text, to_text
@@ -73,7 +73,7 @@ class TestGenerate:
     def test_degenerate_single_cluster(self):
         inst = generate(4, ExplicitSizes((4,)), bernoulli(1.0), bernoulli(0.0), seed=1)
         # all six pairs are intra and Bern(1) always lands on support value 1
-        assert all(inst.side.value_index(u, v) == 1 for u in range(4) for v in range(u + 1, 4))
+        assert all(value_index(inst.side, u, v) == 1 for u in range(4) for v in range(u + 1, 4))
 
     def test_degenerate_two_blocks(self):
         inst = generate(4, ExplicitSizes((2, 2)), bernoulli(1.0), bernoulli(0.0), seed=1)
@@ -81,7 +81,7 @@ class TestGenerate:
         for u in range(4):
             for v in range(u + 1, 4):
                 want = 1 if (u, v) in intra else 0
-                assert inst.side.value_index(u, v) == want
+                assert value_index(inst.side, u, v) == want
 
     def test_intra_frequency_law_of_large_numbers(self):
         inst = generate(2000, Balanced(10), bernoulli(0.7), bernoulli(0.3), seed=3)
@@ -206,7 +206,7 @@ class TestGenerate:
         dense = inst.side.dense()
         for u in range(inst.n):
             for v in range(u + 1, inst.n):
-                assert dense[u, v] == dense[v, u] == inst.side.value_index(u, v)
+                assert dense[u, v] == dense[v, u] == value_index(inst.side, u, v)
 
     def test_dense_matches_triangle_across_tiles(self):
         # dense() mirrors W tile by tile; n = 600 spans several tiles and a
@@ -304,7 +304,7 @@ class TestOneArray:
         tri = inst.side.tri
         tri[:] = 1 - tri
         assert not np.array_equal(inst.side.tri, tri)
-        assert inst.side.value_index(0, 1) == 1 - tri[0]
+        assert value_index(inst.side, 0, 1) == 1 - tri[0]
 
 
 def _address(a: np.ndarray) -> int:

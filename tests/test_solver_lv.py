@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from lv_reference import lv_events, lv_trace, reference_lv
+from lv_reference import check_every_round, lv_events, lv_trace, reference_lv
 
 from oclust import solver_lv
 from oclust.clustering import partition_equal
@@ -66,10 +66,11 @@ class TestLasVegas:
         assert report.exact
         assert report.queries <= 150 * 5
 
-    def test_cached_scores_match_recomputation(self):
-        # paranoid mode revalidates the staleness-aware cache on every round
+    def test_cached_scores_match_recomputation(self, monkeypatch):
+        # the staleness-aware cache is revalidated around every placement step
+        check_every_round(monkeypatch)
         inst = generate(90, Balanced(4), bernoulli(0.9), bernoulli(0.1), seed=6)
-        _, report = run_lv(inst, seed=0, paranoid=True)
+        _, report = run_lv(inst, seed=0)
         assert report.exact
 
     def test_beats_baseline_with_good_side_information(self):
@@ -174,15 +175,14 @@ def test_strong_instance_commits_multi_step_batches(monkeypatch):
 
 def test_paranoid_checks_after_every_batch(monkeypatch):
     events = []
-    check = solver_lv._check_cache
-    monkeypatch.setattr(solver_lv, "_check_cache", lambda *a: (events.append("check"), check(*a)))
+    check_every_round(monkeypatch, log=events)
     sizes = _spy_commits(monkeypatch)
     commit = solver_lv.LvState._commit
     monkeypatch.setattr(
         solver_lv.LvState, "_commit", lambda *a: (commit(*a), events.append("commit"))
     )
     inst = generate(200, Balanced(3), bernoulli(0.9), bernoulli(0.1), seed=6)
-    _, report = run_lv(inst, 0, paranoid=True)
+    _, report = run_lv(inst, 0)
     assert report.exact and max(sizes) > 1
     after = [events[i + 1] for i, e in enumerate(events) if e == "commit"]
     assert after == ["check"] * len(after)

@@ -8,6 +8,7 @@ from statistics import median
 
 import numpy as np
 import pytest
+from estimation_reference import p_minus, p_plus, pooled_estimates
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mc_reference import mc_events, reference_mc
@@ -15,7 +16,7 @@ from mc_reference import mc_events, reference_mc
 from oclust import solver_mc
 from oclust.clustering import partition_equal
 from oclust.divergence import Distribution, Support, bernoulli, from_text, hellinger
-from oclust.estimation import Constants, pooled_estimates
+from oclust.estimation import Constants
 from oclust.instance import Balanced, ExplicitSizes, Skewed, generate
 from oclust.oracle import Oracle
 from oclust.solver_mc import McState, phase1, phase2_loop, phase3_process, run_mc
@@ -135,7 +136,7 @@ class TestPhase3:
         assert oracle.count == before
         assert state.grown_done == {cid}
         done_label = inst.labels[state.clustering.members[cid][0]]
-        for v in state.clustering.unclustered():
+        for v in np.flatnonzero(state.clustering.label_of == -1):
             assert inst.labels[v] != done_label
         for v in state.clustering.members[cid]:
             assert inst.labels[v] == done_label
@@ -239,7 +240,7 @@ class TestRunMc:
             assert sum(est.h is not None for est in seen) > 20
             for est in seen:
                 if est.h is not None:
-                    assert est.h == hellinger(est.p_plus, est.p_minus)
+                    assert est.h == hellinger(p_plus(est), p_minus(est))
 
     @pytest.mark.parametrize(
         "n, spec, dists, seed, h_hex",

@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 
 import pytest
-from lv_reference import lv_trace
+from lv_reference import check_every_round, lv_trace
 
 from oclust.divergence import from_text
 from oclust.estimation import Constants
@@ -148,10 +148,11 @@ def test_lv_trace_pinned(name):
     ["bal3-strong-n60", "bal5-useless-n150", "explicit-strong-n200",
      "singletons-strong-n120", "skew6-weak3-n300", "explicit-weak3-n400"],
 )
-def test_lv_paranoid_cache_keeps_pinned_trace(name):
-    # paranoid mode checks every cached score and best cluster against a
-    # from-scratch recomputation on every round
-    trace = lv_trace(_instance(name), paranoid=True)
+def test_lv_paranoid_cache_keeps_pinned_trace(name, monkeypatch):
+    # check every cached score and best cluster against a from-scratch
+    # recomputation at every round boundary and after every committed batch
+    check_every_round(monkeypatch)
+    trace = lv_trace(_instance(name))
     assert _digest(trace) == LV_DIGESTS[f"{name}/+0"]
 
 
