@@ -69,8 +69,8 @@ class Estimates:
 
     ``intra_counts`` counts the values of ``n_intra_pairs`` within-cluster
     pairs, ``inter_counts`` those of ``n_inter_pairs`` cross-cluster pairs,
-    one count per value of ``support``; their ratios are the empirical
-    within- and cross-cluster distributions.
+    one count per value; their ratios are the empirical within- and
+    cross-cluster distributions.
 
     ``m_threshold is None`` means "no finite threshold yet, keep querying":
     either one side has no pairs to estimate from, or the two estimates
@@ -84,7 +84,6 @@ class Estimates:
     n_inter_pairs: int
     intra_counts: tuple[int, ...]
     inter_counts: tuple[int, ...]
-    support: Support
 
 
 def threshold_from_h(h: Optional[float], consts: Constants, n: int) -> Optional[int]:
@@ -124,7 +123,6 @@ def estimates_from_counts(
         n_inter_pairs=n_inter,
         intra_counts=intra,
         inter_counts=inter,
-        support=support,
     )
 
 
@@ -141,28 +139,42 @@ def _checked_counts(counts: Sequence[int], pairs: int, q: int, side: str) -> tup
 # vectorized kernels (solvers evaluate many vertices against one snapshot)
 
 
-# Cells of W read per step of value_planes: the rows read, their gathers and
-# compares stay under the 4 MiB from which numpy asks for transparent huge
-# pages (see instance._GENERATE_CHUNK).
+# Cells of W read per step of value_planes: the rows and their compares stay
+# under the 4 MiB from which numpy asks for huge pages (instance._GENERATE_CHUNK)
 _GATHER_CELLS = 1 << 20
 
 
 def value_planes(dense: np.ndarray, q: int, pool: np.ndarray, members: np.ndarray) -> np.ndarray:
     """Counts of each side-information value between every pool vertex and a
-    member set, one plane per value: shape (q, len(pool)); each pool
+    member set, one int32 plane per value: shape (q, len(pool)); each pool
     vertex's q counts sum to len(members)."""
-    # W is symmetric, so read whole member rows, a step at a time, and gather
-    # the pool's columns from them: contiguous rows are far cheaper than a
-    # cell-by-cell np.ix_ gather
-    out = np.zeros((q, pool.size), dtype=np.int64)
+    # W is symmetric, so sum whole member rows, a step at a time, into int32
+    # totals per vertex, then gather the pool's columns once
+    totals = np.zeros((q, dense.shape[1]), dtype=np.int32)
     step = max(1, _GATHER_CELLS // dense.shape[1])
     for lo in range(0, members.size, step):
-        sub = dense[members[lo : lo + step]][:, pool]
+        rows = dense[members[lo : lo + step]]
         for a in range(1, q):
-            out[a] += np.count_nonzero(sub == a, axis=0)
+            totals[a] += np.add.reduce((rows == a).view(np.uint8), axis=0, dtype=np.int32)
+    out = totals.take(pool, axis=1)
     # every cell holds exactly one value
-    np.subtract(members.size, out[1:].sum(axis=0), out=out[0])
+    np.subtract(members.size, out[1:].sum(axis=0, dtype=np.int32), out=out[0])
     return out
+
+
+def _hellinger2_terms(counts, total, p_ref) -> np.ndarray:
+    """The terms (sqrt(counts / total) - sqrt(p_ref))^2 of hellinger2_probs."""
+    d = np.sqrt(np.divide(counts, total)) - np.sqrt(p_ref)
+    return np.multiply(d, d, out=d)
+
+
+def _halved_sum(d) -> np.ndarray:
+    """Half the sum of the term planes ``d``, added left to right, clamped to 1."""
+    s = d[0]
+    for a in range(1, len(d)):
+        s += d[a]
+    s = np.multiply(s, 0.5)
+    return np.minimum(s, 1.0, out=s)
 
 
 def hellinger2_rows(counts: np.ndarray, total, p_ref: np.ndarray) -> np.ndarray:
@@ -175,15 +187,24 @@ def hellinger2_rows(counts: np.ndarray, total, p_ref: np.ndarray) -> np.ndarray:
     :func:`~oclust.divergence.hellinger2_probs` of ``row / total`` and the
     reference: the terms are added left to right, one rounding per
     operation, and the sum is clamped to 1."""
-    d = np.divide(counts, total)
-    np.sqrt(d, out=d)
-    d -= np.sqrt(p_ref)
-    d *= d
-    s = d[0]
-    for a in range(1, len(d)):
-        s += d[a]
-    s = np.multiply(s, 0.5)
-    return np.minimum(s, 1.0, out=s)
+    return _halved_sum(_hellinger2_terms(counts, total, p_ref))
+
+
+def hellinger2_counts(planes: np.ndarray, total: int, p_ref: np.ndarray) -> np.ndarray:
+    """:func:`hellinger2_rows` of integer count rows sharing one ``total`` and
+    one (q,) pmf ``p_ref``, bit for bit. ``planes`` counts values 1..q-1,
+    shape (q-1, rows); value 0's count is ``total`` minus their sum. A term
+    depends only on its value and count, so each value's terms are computed
+    once for the counts 0..total and gathered per row."""
+    q = len(p_ref)
+    table = _hellinger2_terms(np.arange(total + 1), total, p_ref[:, None])
+    # value 0's terms run backwards: indexed by the count of the other values
+    table[0] = table[0][::-1]
+    if q == 2:
+        # that count is value 1's, so each row's divergence is in one table
+        return _halved_sum(table).take(planes[0])
+    others = planes.sum(axis=0, dtype=planes.dtype)
+    return _halved_sum([table[0].take(others), *(table[a].take(planes[a - 1]) for a in range(1, q))])
 
 
 def membership_scores(pool: np.ndarray, members: Sequence[int], side: SideInfo) -> np.ndarray:
@@ -200,4 +221,4 @@ def membership_scores(pool: np.ndarray, members: Sequence[int], side: SideInfo) 
     pairs = dense[np.ix_(members, members)][np.triu_indices(s, k=1)]
     p_c = np.bincount(pairs, minlength=side.q) / (s * (s - 1) / 2)
     counts = value_planes(dense, side.q, pool, members)
-    return -hellinger2_rows(counts, s, p_c[:, None])
+    return -hellinger2_counts(counts[1:], s, p_c)

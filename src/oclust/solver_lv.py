@@ -15,7 +15,7 @@ import numpy as np
 
 # misassigned_count and partition_equal stay importable here for perfbench/tracer.py
 from .clustering import ClusteringState, InvariantError, misassigned_count, partition_equal, promote
-from .estimation import hellinger2_rows, value_planes
+from .estimation import hellinger2_counts, hellinger2_rows, value_planes
 from .instance import Instance, SideInfo
 from .oracle import EventSink, Oracle
 from .report import RunReport, finish
@@ -224,9 +224,9 @@ class LvState:
         if steps < _MIN_BATCH:
             return None
         g = np.sort(ids[cand])[:steps]
-        # every row up to the last guess is watched (see below), so the
-        # shortest batch may already overflow the cell budget
-        if (_MIN_BATCH + 1) * q * np.count_nonzero(ids <= g[_MIN_BATCH - 1]) > _BATCH_CELLS:
+        # every row up to the last guess is watched (see below); if they alone
+        # leave no room for _MIN_BATCH steps, the budget check below fails too
+        if (_MIN_BATCH + 1) * q * np.count_nonzero(ids <= g[-1]) > _BATCH_CELLS:
             return None
         clustering = self.clustering
         s0 = clustering.size(c)
@@ -260,11 +260,13 @@ class LvState:
         # plane per value
         cnt = np.empty((q, steps + 1, rows.size))
         cnt[1:, 0] = self.inter[c][:, rows]
-        vals = self.dense[g[:, None], ids[rows]]
+        vals = self.dense[g][:, ids[rows]]
         for a in range(1, q):
             np.cumsum(vals == a, axis=0, out=cnt[a, 1:])
         cnt[1:, 1:] += cnt[1:, :1]
-        cnt[0] = size[:, None] - cnt[1:].sum(axis=0)
+        np.subtract(size[:, None], cnt[1], out=cnt[0])
+        for a in range(2, q):
+            cnt[0] -= cnt[a]
         intra = np.empty((steps + 1, q))
         intra[0] = self.intra[c]
         np.cumsum(cnt[:, np.arange(steps), at].T, axis=0, out=intra[1:])
@@ -272,7 +274,7 @@ class LvState:
         p_c = intra / (size * (size - 1) / 2)[:, None]
         score = np.empty((steps + 1, rows.size))
         score[0] = self.scores[c, rows]
-        score[1:] = -hellinger2_rows(cnt[:, 1:], size[1:, None], p_c[1:].T[:, :, None])
+        np.negative(hellinger2_rows(cnt[:, 1:], size[1:, None], p_c[1:].T[:, :, None]), out=score[1:])
 
         t = np.arange(steps + 1)[:, None]
         os_r, tau_r = other_score[rows], tau[rows]
@@ -306,10 +308,7 @@ class LvState:
     def _rescore(self, cid: int) -> None:
         size, m = self.clustering.size(cid), self.m
         p_c = self.intra[cid] / (size * (size - 1) / 2)
-        planes = np.empty((self.q, m))
-        planes[1:] = self.inter[cid, :, :m]
-        np.subtract(size, planes[1:].sum(axis=0), out=planes[0])
-        self.scores[cid, :m] = -hellinger2_rows(planes, size, p_c[:, None])
+        np.negative(hellinger2_counts(self.inter[cid, :, :m], size, p_c), out=self.scores[cid, :m])
         self.scored_at[cid] = size
 
     def _remove(self, v: int) -> None:

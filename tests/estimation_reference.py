@@ -3,10 +3,12 @@
 The package counts side-information values as integers and scores a whole
 pool at once (:func:`~oclust.estimation.value_planes`,
 :func:`~oclust.estimation.hellinger2_rows`,
+:func:`~oclust.estimation.hellinger2_counts`,
 :func:`~oclust.estimation.membership_scores`,
 :func:`~oclust.estimation.estimates_from_counts`). These are the paper's
 definitions, one vertex and one cluster at a time, for the tests to check
-the kernels and the solvers against.
+the kernels and the solvers against, plus the column-gather form of
+:func:`value_planes` that the package's whole-row sums replaced.
 """
 
 from __future__ import annotations
@@ -91,14 +93,28 @@ def pooled_estimates(
     return estimates_from_counts(intra, inter, n_intra, n_inter, side.support, consts, n)
 
 
-def p_plus(est: Estimates) -> Optional[Distribution]:
-    """The empirical within-cluster distribution of ``est``; None without pairs."""
-    return _pmf(est.support, est.intra_counts, est.n_intra_pairs)
+def p_plus(est: Estimates, support: Support) -> Optional[Distribution]:
+    """The empirical within-cluster distribution of ``est`` over ``support``;
+    None without pairs."""
+    return _pmf(support, est.intra_counts, est.n_intra_pairs)
 
 
-def p_minus(est: Estimates) -> Optional[Distribution]:
-    """The empirical cross-cluster distribution of ``est``; None without pairs."""
-    return _pmf(est.support, est.inter_counts, est.n_inter_pairs)
+def p_minus(est: Estimates, support: Support) -> Optional[Distribution]:
+    """The empirical cross-cluster distribution of ``est`` over ``support``;
+    None without pairs."""
+    return _pmf(support, est.inter_counts, est.n_inter_pairs)
+
+
+def value_planes(dense: np.ndarray, q: int, pool: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """:func:`oclust.estimation.value_planes` as the package computed it before
+    it summed whole rows: gather the members' rows at the pool's columns and
+    count each value with ``count_nonzero``, as int64 planes."""
+    out = np.zeros((q, pool.size), dtype=np.int64)
+    sub = dense[members][:, pool]
+    for a in range(1, q):
+        out[a] = np.count_nonzero(sub == a, axis=0)
+    np.subtract(members.size, out[1:].sum(axis=0), out=out[0])
+    return out
 
 
 def _pmf(support: Support, counts: tuple[int, ...], pairs: int) -> Optional[Distribution]:

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,7 +10,10 @@ from estimation_reference import (
     p_minus,
     p_plus,
     pooled_estimates,
+    value_planes as gathered_value_planes,
 )
+from hypothesis import example, given
+from hypothesis import strategies as st
 from triangle import pair_index
 
 from oclust.divergence import (
@@ -26,6 +30,7 @@ from oclust.estimation import (
     Constants,
     membership_scores,
     estimates_from_counts,
+    hellinger2_counts,
     hellinger2_rows,
     threshold_from_h,
     value_planes,
@@ -207,8 +212,32 @@ class TestInterCounts:
         for pool, members in cases:
             got = value_planes(inst.side.dense(), inst.q, pool, members)
             want = self.reference(pool, members, inst.side)
-            assert got.shape == (inst.q, pool.size) and got.dtype == np.int64
+            assert got.shape == (inst.q, pool.size) and got.dtype == np.int32
             assert np.array_equal(got.T, want)
+
+
+@st.composite
+def _planes_cases(draw):
+    """A W (uint16 when q > 256), a pool, a member set and a cell budget."""
+    q = draw(st.sampled_from((2, 3, 5, 300)))
+    n = draw(st.integers(2, 40))
+    tri = draw(st.lists(st.integers(0, q - 1), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
+    side = SideInfo(n, Support(tuple(range(q))), np.array(tri, dtype=np.uint8 if q <= 256 else np.uint16))
+    perm = np.array(draw(st.permutations(range(n))), dtype=np.int64)
+    cut = draw(st.integers(0, n))
+    members = perm[cut : cut + draw(st.integers(0, n - cut))]
+    # 1 cell: one member row per step; 3n cells: steps of three rows
+    cells = draw(st.sampled_from((1, 3 * n, 1 << 20)))
+    return side, perm[:cut], members, cells
+
+
+@given(_planes_cases())
+def test_value_planes_match_the_column_gather(case):
+    side, pool, members, cells = case
+    with mock.patch.object(estimation, "_GATHER_CELLS", cells):
+        got = value_planes(side.dense(), side.q, pool, members)
+    assert got.dtype == np.int32
+    assert np.array_equal(got, gathered_value_planes(side.dense(), side.q, pool, members))
 
 
 def _tally_pmf(rng, q, pairs):
@@ -247,6 +276,61 @@ class TestHellinger2Rows:
             assert got[t].tolist() == want
 
 
+@st.composite
+def _count_rows(draw):
+    """Count rows over q values with one total, as planes (q, rows): random
+    rows plus every point mass (counts of 0 and of ``total``), and a
+    reference pmf of pair-count ratios that may miss a value."""
+    q = draw(st.sampled_from((2, 3, 5)))
+    total = draw(st.integers(2, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = rng.multinomial(total, rng.dirichlet(np.full(q, 0.5)), size=draw(st.integers(0, 30)))
+    rows = np.concatenate([total * np.eye(q, dtype=np.int64), rows])
+    pairs = total * (total - 1) // 2
+    weights = rng.dirichlet(np.full(q, 0.5))
+    if draw(st.booleans()):
+        weights[draw(st.integers(0, q - 1))] = 0.0
+        weights /= weights.sum()
+    p = rng.multinomial(pairs, weights) / pairs
+    return np.ascontiguousarray(rows.T).astype(np.int32), total, p
+
+
+class TestHellinger2Counts:
+    """The count-indexed table against the plane kernel and the scalar
+    definitions, compared bit for bit."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @given(_count_rows())
+    def test_table_matches_rows_kernel_and_scalar(self, case):
+        planes, total, p = case
+        got = hellinger2_counts(planes[1:], total, p)
+        assert np.array_equal(got, hellinger2_rows(planes, total, p[:, None]))
+        want = [hellinger2_probs([c / total for c in row], p.tolist()) for row in planes.T.tolist()]
+        assert np.array_equal(got, want)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @given(st.sampled_from((2, 3, 5)), st.integers(2, 8), st.integers(0, 2**32 - 1), st.booleans())
+    @example(q=5, size=2, seed=0, drop=False)  # one intra pair: most of p_c is zero
+    def test_membership_scores_match_scalar_membership(self, q, size, seed, drop):
+        # members 0..size-1; pool vertex size + a holds value a toward every
+        # member (counts of 0 and of size), the rest are random
+        rng = np.random.default_rng(seed)
+        n = size + q + 6
+        tri = rng.integers(0, q, size=n * (n - 1) // 2).astype(np.uint8)
+        for a in range(q):
+            for u in range(size):
+                tri[pair_index(u, size + a, n)] = a
+        if drop:  # the cluster's pairs never take value 0
+            for u in range(size):
+                for v in range(u + 1, size):
+                    tri[pair_index(u, v, n)] = max(1, tri[pair_index(u, v, n)])
+        side = SideInfo(n, Support(tuple(range(q))), tri)
+        members, pool = np.arange(size), np.arange(size, n)
+        got = membership_scores(pool, members, side)
+        want = [membership(int(v), members, side) for v in pool]
+        assert np.array_equal(got, want)
+
+
 class TestThreshold:
     def test_boundary_h_equals_one(self):
         consts = Constants()
@@ -271,15 +355,15 @@ class TestPooledEstimates:
     def test_single_pair_cluster(self):
         side = hand_side(4, {(0, 1): 1})
         est = pooled_estimates([[0, 1]], side, Constants(), n=4)
-        assert p_plus(est) is not None and p_plus(est).probs == (0.0, 1.0)
-        assert p_minus(est) is None
+        assert p_plus(est, side.support) is not None and p_plus(est, side.support).probs == (0.0, 1.0)
+        assert p_minus(est, side.support) is None
         assert est.m_threshold is None
 
     def test_two_singletons(self):
         side = hand_side(4, {(0, 1): 1})
         est = pooled_estimates([[0], [1]], side, Constants(), n=4)
-        assert p_plus(est) is None
-        assert p_minus(est) is not None and p_minus(est).probs == (0.0, 1.0)
+        assert p_plus(est, side.support) is None
+        assert p_minus(est, side.support) is not None and p_minus(est, side.support).probs == (0.0, 1.0)
         assert est.m_threshold is None
 
     def test_pool_counts(self):
@@ -287,8 +371,8 @@ class TestPooledEstimates:
         est = pooled_estimates([[0, 1], [2, 3]], side, Constants(), n=5)
         assert est.n_intra_pairs == 2
         assert est.n_inter_pairs == 4
-        assert p_plus(est).probs == (0.0, 1.0)
-        assert p_minus(est).probs == (0.75, 0.25)
+        assert p_plus(est, side.support).probs == (0.0, 1.0)
+        assert p_minus(est, side.support).probs == (0.75, 0.25)
 
     def test_estimates_track_truth_after_phase1(self):
         fp, fm = bernoulli(0.8), bernoulli(0.2)
@@ -314,16 +398,16 @@ class TestEstimatesFromCounts:
             np.array(intra), list(inter), n_intra, n_inter, support, Constants(), 1000
         )
         # h is the Hellinger divergence of the count ratios' distributions
-        assert p_plus(est) == Distribution(support, np.array(intra) / n_intra)
-        assert p_minus(est) == Distribution(support, np.array(inter) / n_inter)
-        assert est.h == hellinger(p_plus(est), p_minus(est))
+        assert p_plus(est, support) == Distribution(support, np.array(intra) / n_intra)
+        assert p_minus(est, support) == Distribution(support, np.array(inter) / n_inter)
+        assert est.h == hellinger(p_plus(est, support), p_minus(est, support))
         assert est.m_threshold == threshold_from_h(est.h, Constants(), 1000)
         assert est.intra_counts == intra and est.inter_counts == inter
 
     def test_no_pairs_no_pmf(self):
         est = estimates_from_counts([0, 0], [2, 1], 0, 3, BIN, Constants(), 10)
-        assert p_plus(est) is None and est.h is None and est.m_threshold is None
-        assert p_minus(est).probs == (2 / 3, 1 / 3)
+        assert p_plus(est, BIN) is None and est.h is None and est.m_threshold is None
+        assert p_minus(est, BIN).probs == (2 / 3, 1 / 3)
 
     @pytest.mark.parametrize(
         "intra, n_intra",

@@ -240,7 +240,7 @@ class TestRunMc:
             assert sum(est.h is not None for est in seen) > 20
             for est in seen:
                 if est.h is not None:
-                    assert est.h == hellinger(p_plus(est), p_minus(est))
+                    assert est.h == hellinger(p_plus(est, fp.support), p_minus(est, fp.support))
 
     @pytest.mark.parametrize(
         "n, spec, dists, seed, h_hex",
