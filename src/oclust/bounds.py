@@ -36,8 +36,8 @@ class LowerBoundInputs:
             raise ValueError(f"n must equal a*k (got n={self.n}, a*k={self.a * self.k})")
         if not 0.0 <= self.h <= 1.0:
             raise ValueError("h must lie in [0, 1]")
-        if self.q_budget < 0.0:
-            raise ValueError("query budget must be nonnegative")
+        if not 0.0 <= self.q_budget < math.inf:
+            raise ValueError("query budget must be finite and nonnegative")
 
 
 def lb_error_prob(inputs: LowerBoundInputs) -> float:

@@ -139,27 +139,24 @@ def _checked_counts(counts: Sequence[int], pairs: int, q: int, side: str) -> tup
 # vectorized kernels (solvers evaluate many vertices against one snapshot)
 
 
-# Cells of W read per step of value_planes: the rows and their compares stay
+# Cells of W read per step of value_totals: the rows and their compares stay
 # under the 4 MiB from which numpy asks for huge pages (instance._GENERATE_CHUNK)
 _GATHER_CELLS = 1 << 20
 
 
-def value_planes(dense: np.ndarray, q: int, pool: np.ndarray, members: np.ndarray) -> np.ndarray:
-    """Counts of each side-information value between every pool vertex and a
-    member set, one int32 plane per value: shape (q, len(pool)); each pool
-    vertex's q counts sum to len(members)."""
-    # W is symmetric, so sum whole member rows, a step at a time, into int32
-    # totals per vertex, then gather the pool's columns once
-    totals = np.zeros((q, dense.shape[1]), dtype=np.int32)
+def value_totals(dense: np.ndarray, q: int, rows: np.ndarray) -> np.ndarray:
+    """Counts of each side-information value 1..q-1 between every vertex and
+    the set ``rows``, one int32 plane per value: shape (q-1, n). Value 0's
+    count is len(rows) minus their sum; a vertex's own row adds nothing, as
+    W's diagonal is 0. Callers take the columns they need."""
+    # W is symmetric, so sum whole rows, a step at a time, into totals per vertex
+    totals = np.zeros((q - 1, dense.shape[1]), dtype=np.int32)
     step = max(1, _GATHER_CELLS // dense.shape[1])
-    for lo in range(0, members.size, step):
-        rows = dense[members[lo : lo + step]]
+    for lo in range(0, rows.size, step):
+        block = dense[rows[lo : lo + step]]
         for a in range(1, q):
-            totals[a] += np.add.reduce((rows == a).view(np.uint8), axis=0, dtype=np.int32)
-    out = totals.take(pool, axis=1)
-    # every cell holds exactly one value
-    np.subtract(members.size, out[1:].sum(axis=0, dtype=np.int32), out=out[0])
-    return out
+            totals[a - 1] += np.add.reduce((block == a).view(np.uint8), axis=0, dtype=np.int32)
+    return totals
 
 
 def _hellinger2_terms(counts, total, p_ref) -> np.ndarray:
@@ -217,8 +214,9 @@ def membership_scores(pool: np.ndarray, members: Sequence[int], side: SideInfo) 
     s = members.size
     if s < 2:
         raise ValueError("membership needs a cluster of at least 2 members")
-    dense = side.dense()
-    pairs = dense[np.ix_(members, members)][np.triu_indices(s, k=1)]
-    p_c = np.bincount(pairs, minlength=side.q) / (s * (s - 1) / 2)
-    counts = value_planes(dense, side.q, pool, members)
-    return -hellinger2_counts(counts[1:], s, p_c)
+    totals = value_totals(side.dense(), side.q, members)
+    # each pair of members is seen from both ends
+    intra = totals.take(members, axis=1).sum(axis=1) // 2
+    pairs = s * (s - 1) // 2
+    p_c = np.concatenate(([pairs - intra.sum()], intra)) / pairs
+    return -hellinger2_counts(totals.take(pool, axis=1), s, p_c)

@@ -87,8 +87,8 @@ def cluster_sizes(spec: ClusterSpec, n: int) -> tuple[int, ...]:
         k, ratio = spec.k, spec.ratio
         if k < 1 or k > n:
             raise ValueError(f"cannot split n={n} into k={k} nonempty clusters")
-        if ratio < 1.0:
-            raise ValueError("skew ratio must be >= 1")
+        if not 1.0 <= ratio < np.inf:
+            raise ValueError("skew ratio must be finite and >= 1")
         weights = np.array([ratio ** (i / max(k - 1, 1)) for i in range(k)])
         raw = weights / weights.sum() * n
         sizes = np.maximum(np.floor(raw).astype(int), 1)
@@ -275,6 +275,8 @@ def _check_range(tri: np.ndarray, q: int) -> None:
 
 
 def _dtype_for_q(q: int) -> np.dtype:
+    if q > 1 << 16:
+        raise ValueError(f"q={q} exceeds 65536, the most values a uint16 cell of W holds")
     return np.dtype(np.uint8) if q <= 256 else np.dtype(np.uint16)
 
 
@@ -409,6 +411,7 @@ def generate(
     """
     if f_plus.support != f_minus.support:
         raise ValueError("support mismatch")
+    dtype = _dtype_for_q(f_plus.q)
     if n < 1:
         raise ValueError("n must be positive")
     if not 0 <= seed < 1 << 63:
@@ -422,7 +425,7 @@ def generate(
 
     q = f_plus.q
     thr_plus, thr_minus = f_plus.cdf[: q - 1], f_minus.cdf[: q - 1]
-    w = _w_array(n, _dtype_for_q(q))
+    w = _w_array(n, dtype)
     starts = _row_starts(n)  # starts[n - 1] is the number of pairs
     # each step's pairs are contiguous in the flat triangle, so W is hashed
     # here at a fraction of the cost of hashing the finished array row by row

@@ -15,7 +15,7 @@ import numpy as np
 
 # misassigned_count and partition_equal stay importable here for perfbench/tracer.py
 from .clustering import ClusteringState, InvariantError, misassigned_count, partition_equal, promote
-from .estimation import hellinger2_counts, hellinger2_rows, value_planes
+from .estimation import hellinger2_counts, hellinger2_rows, value_totals
 from .instance import Instance, SideInfo
 from .oracle import EventSink, Oracle
 from .report import RunReport, finish
@@ -294,7 +294,7 @@ class LvState:
         in order, leaving the cache as their single steps would."""
         m, steps = self.m, placed.size
         self.intra[c] = intra
-        self.inter[c, :, :m] += value_planes(self.dense, self.q, self.ids[:m], placed)[1:]
+        self.inter[c, :, :m] += value_totals(self.dense, self.q, placed).take(self.ids[:m], axis=1)
         for u in placed.tolist():
             self.clustering.add(u, c)
         self._rescore(c)
@@ -348,7 +348,7 @@ class LvState:
 
     def _count(self, v: int, cid: int) -> None:
         """Add the pairs (pool vertex, v) to the pool's counts toward cid; one
-        row of W read directly, where :func:`value_planes` serves a set."""
+        row of W read directly, where :func:`value_totals` serves a set."""
         m = self.m
         vals = self.dense[v, self.ids[:m]]
         for a in range(1, self.q):

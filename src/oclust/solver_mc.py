@@ -27,18 +27,12 @@ import numpy as np
 
 # misassigned_count and partition_equal stay importable here for perfbench/tracer.py
 from .clustering import ClusteringState, misassigned_count, partition_equal, promote
-from .estimation import Constants, Estimates, estimates_from_counts, membership_scores
+from .estimation import Constants, Estimates, estimates_from_counts, membership_scores, value_totals
 from .instance import Instance, SideInfo
 from .oracle import EventSink, Oracle
 from .report import RunReport, finish
 
 BAND_MODES = ("lemma", "text")
-
-# Cells of W read per step of McState.join_batch: the step's rows of the
-# dense matrix, and every gather and compare made from them, stay under the
-# 4 MiB from which numpy asks for transparent huge pages (see
-# instance._GENERATE_CHUNK), so peak memory does not depend on the batch.
-_JOIN_CELLS = 1 << 20
 
 
 class _Pool:
@@ -80,12 +74,13 @@ class McState:
     of every within-cluster and every cross-cluster pair of clustered
     vertices, over ``n_intra`` and ``n_inter`` pairs. :meth:`join` and
     :meth:`open_singleton` add one vertex's pairs with the vertices
-    clustered before it. :meth:`join_batch` adds a whole phase-3 inclusion
-    set to one cluster with the same integer counts, a block of whole rows
-    of W at a time: each block is counted against the cluster's members and
-    against the other clusters' members, plus the pairs inside the block;
-    values a >= 1 are counted by comparison and value 0 is the rest of the
-    pair total.
+    clustered before it, from a ``bincount`` of its row of W.
+    :meth:`join_batch` adds a whole phase-3 inclusion set to one cluster
+    with the same integer counts, from one
+    :func:`~oclust.estimation.value_totals` of the set: its columns at the
+    cluster's members give the intra counts, at the other clustered vertices
+    the inter counts, and at the set itself, halved, the pairs inside the
+    set; value 0 is the rest of each pair total.
 
     ``order`` holds the cluster ids by (-size, id), the order in which a
     vertex is polled; a new cluster goes to its end and a cluster that grew
@@ -142,39 +137,26 @@ class McState:
     def join_batch(self, vs: np.ndarray, cid: int, how: str) -> None:
         """Join ``vs`` to cluster ``cid`` in order; the counts equal those of
         one :meth:`join` per vertex."""
-        clustering = self.clustering
+        members = self.clustering.members[cid]
         prefix = self.clustered[: self.n_clustered]
-        # the batch only grows cid, so the other clusters' members stay fixed
-        others = prefix[clustering.label_of[prefix] != cid]
-        step = max(1, _JOIN_CELLS // self.dense.shape[1])
-        for lo in range(0, len(vs), step):
-            chunk = vs[lo : lo + step]
-            r = len(chunk)
-            rows = self.dense[chunk]
-            members = np.asarray(clustering.members[cid], dtype=np.int64)
-            # the chunk's own square is symmetric with a zero diagonal, so
-            # each pair inside the chunk shows up twice among values a >= 1
-            intra = self._nonzero_counts(rows[:, members])
-            intra += self._nonzero_counts(rows[:, chunk]) // 2
-            pairs = r * len(members) + r * (r - 1) // 2
-            intra[0] = pairs - intra.sum()
-            self.intra_counts += intra
-            self.n_intra += pairs
-            inter = self._nonzero_counts(rows[:, others])
-            inter[0] = r * len(others) - inter.sum()
-            self.inter_counts += inter
-            self.n_inter += r * len(others)
-            for v in chunk.tolist():
-                clustering.add(v, cid)
-                self._mark_clustered(v, how)
-        promote(self.order, self.pos, clustering.size, cid)
-
-    def _nonzero_counts(self, block: np.ndarray) -> np.ndarray:
-        """Counts of each value a >= 1 in ``block``; entry 0 is left 0."""
-        out = np.zeros(self.q, dtype=np.int64)
-        for a in range(1, self.q):
-            out[a] = np.count_nonzero(block == a)
-        return out
+        r, s, p = len(vs), len(members), len(prefix)
+        totals = value_totals(self.dense, self.q, vs)
+        to_members = totals.take(members, axis=1).sum(axis=1)
+        # the batch's own square has a zero diagonal and holds each pair twice
+        intra = to_members + totals.take(vs, axis=1).sum(axis=1) // 2
+        inter = totals.take(prefix, axis=1).sum(axis=1) - to_members
+        n_intra, n_inter = r * s + r * (r - 1) // 2, r * (p - s)
+        # value 0 is the rest of each pair total
+        self.intra_counts[1:] += intra
+        self.intra_counts[0] += n_intra - intra.sum()
+        self.inter_counts[1:] += inter
+        self.inter_counts[0] += n_inter - inter.sum()
+        self.n_intra += n_intra
+        self.n_inter += n_inter
+        for v in vs.tolist():
+            self.clustering.add(v, cid)
+            self._mark_clustered(v, how)
+        promote(self.order, self.pos, self.clustering.size, cid)
 
     def open_singleton(self, v: int, how: str) -> int:
         self.inter_counts += np.bincount(

@@ -1,14 +1,14 @@
 """Scalar references for the estimation kernels, built on ``Distribution``.
 
 The package counts side-information values as integers and scores a whole
-pool at once (:func:`~oclust.estimation.value_planes`,
+pool at once (:func:`~oclust.estimation.value_totals`,
 :func:`~oclust.estimation.hellinger2_rows`,
 :func:`~oclust.estimation.hellinger2_counts`,
 :func:`~oclust.estimation.membership_scores`,
 :func:`~oclust.estimation.estimates_from_counts`). These are the paper's
 definitions, one vertex and one cluster at a time, for the tests to check
-the kernels and the solvers against, plus the column-gather form of
-:func:`value_planes` that the package's whole-row sums replaced.
+the kernels and the solvers against, plus :func:`value_planes`, the
+column-gather count that the package's whole-row sums replaced.
 """
 
 from __future__ import annotations
@@ -106,9 +106,11 @@ def p_minus(est: Estimates, support: Support) -> Optional[Distribution]:
 
 
 def value_planes(dense: np.ndarray, q: int, pool: np.ndarray, members: np.ndarray) -> np.ndarray:
-    """:func:`oclust.estimation.value_planes` as the package computed it before
-    it summed whole rows: gather the members' rows at the pool's columns and
-    count each value with ``count_nonzero``, as int64 planes."""
+    """Counts of each value between every pool vertex and a member set, shape
+    (q, len(pool)), as the package computed them before it summed whole rows
+    (:func:`oclust.estimation.value_totals`): gather the members' rows at the
+    pool's columns and count each value with ``count_nonzero``, as int64
+    planes."""
     out = np.zeros((q, pool.size), dtype=np.int64)
     sub = dense[members][:, pool]
     for a in range(1, q):

@@ -59,6 +59,11 @@ class TestLemma1:
         with pytest.raises(ValueError):
             LowerBoundInputs(n=8, k=2, a=4, q_budget=0.0, h=1.5)
 
+    @pytest.mark.parametrize("q_budget", [math.nan, math.inf, -1.0])
+    def test_query_budget_must_be_finite_and_nonnegative(self, q_budget):
+        with pytest.raises(ValueError, match="query budget"):
+            LowerBoundInputs(n=12, k=4, a=3, q_budget=q_budget, h=0.1)
+
 
 class TestQueryBudget:
     def test_perfect_side_information(self):

@@ -101,6 +101,18 @@ def test_gen_non_finite_distribution_exits_two(tmp_path, capsys, fplus):
     assert not (tmp_path / "x.oclb").exists()
 
 
+@pytest.mark.parametrize("skew", ["nan", "inf"])
+def test_gen_non_finite_skew_exits_two(tmp_path, capsys, skew):
+    out = tmp_path / "x.oclb"
+    code = main(
+        ["gen", "--n", "20", "--k", "3", "--skew", skew, "--fplus", "0:0.2,1:0.8",
+         "--fminus", "0:0.8,1:0.2", "--out", str(out)]
+    )
+    assert code == 2
+    assert "skew ratio must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "field, value",
     [("k", "abc"), ("k", [1]), ("k", None), ("f_plus", 5), ("n", 2.7), ("seed", 1.5)],
@@ -206,6 +218,14 @@ def test_sparse_sbm_bounds_script_matches_cli(capsys):
 def test_bounds_missing_argument_is_usage_error(capsys):
     code = main(["bounds", "--form", "lemma1", "--k", "10"])
     assert code == 2
+
+
+@pytest.mark.parametrize("q", ["nan", "inf"])
+def test_bounds_non_finite_query_budget_exits_two(capsys, q):
+    code = main(["bounds", "--form", "lemma1", "--k", "4", "--a", "3", "--q", q, "--h", "0.1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "query budget" in captured.err
 
 
 def test_bench_writes_outputs_and_check_passes(tmp_path, capsys):

@@ -33,7 +33,7 @@ from oclust.estimation import (
     hellinger2_counts,
     hellinger2_rows,
     threshold_from_h,
-    value_planes,
+    value_totals,
 )
 from oclust.instance import Balanced, ExplicitSizes, SideInfo, generate
 from oclust.oracle import Oracle
@@ -171,6 +171,21 @@ class TestMembership:
                 slow = [membership(int(v), members, inst.side) for v in pool]
                 assert fast.tolist() == slow, (fp, members)
 
+    # 1 cell: one member row per step; 3n cells: steps of three member rows
+    @pytest.mark.parametrize("cells", [1, 3 * 70, None], ids=["cells1", "cells3n", "default"])
+    def test_vectorized_scores_match_scalar_across_steps(self, monkeypatch, cells):
+        if cells is not None:
+            monkeypatch.setattr(estimation, "_GATHER_CELLS", cells)
+        inst = generate(70, Balanced(3), from_text("0:0.2,1:0.3,2:0.5"), from_text("0:0.5,1:0.3,2:0.2"), seed=14)
+        perm = np.random.default_rng(6).permutation(70)
+        # the true clusters, a mixed set of every size up to 8, and a pair
+        sets = [np.array(m) for m in inst.truth] + [perm[:s] for s in range(2, 9)]
+        for members in sets:
+            pool = np.setdiff1d(np.arange(70), members)
+            fast = membership_scores(pool, members, inst.side)
+            slow = [membership(int(v), members.tolist(), inst.side) for v in pool]
+            assert fast.tolist() == slow, members.tolist()
+
     def test_vectorized_scores_need_two_members(self):
         side = hand_side(4, {(0, 1): 1})
         with pytest.raises(ValueError, match="at least 2 members"):
@@ -210,10 +225,12 @@ class TestInterCounts:
             (perm[:20], perm[:0]),  # empty member set
         ]
         for pool, members in cases:
-            got = value_planes(inst.side.dense(), inst.q, pool, members)
+            totals = value_totals(inst.side.dense(), inst.q, members)
+            assert totals.shape == (inst.q - 1, inst.n) and totals.dtype == np.int32
+            got = totals.take(pool, axis=1)
             want = self.reference(pool, members, inst.side)
-            assert got.shape == (inst.q, pool.size) and got.dtype == np.int32
-            assert np.array_equal(got.T, want)
+            assert np.array_equal(got.T, want[:, 1:])
+            assert np.array_equal(members.size - got.sum(axis=0), want[:, 0])
 
 
 @st.composite
@@ -235,9 +252,12 @@ def _planes_cases(draw):
 def test_value_planes_match_the_column_gather(case):
     side, pool, members, cells = case
     with mock.patch.object(estimation, "_GATHER_CELLS", cells):
-        got = value_planes(side.dense(), side.q, pool, members)
-    assert got.dtype == np.int32
-    assert np.array_equal(got, gathered_value_planes(side.dense(), side.q, pool, members))
+        totals = value_totals(side.dense(), side.q, members)
+    assert totals.shape == (side.q - 1, side.n) and totals.dtype == np.int32
+    got = totals.take(pool, axis=1)
+    want = gathered_value_planes(side.dense(), side.q, pool, members)
+    assert np.array_equal(got, want[1:])
+    assert np.array_equal(members.size - got.sum(axis=0), want[0])
 
 
 def _tally_pmf(rng, q, pairs):

@@ -68,6 +68,11 @@ class TestClusterSizes:
         with pytest.raises(ValueError):
             cluster_sizes(Balanced(11), 10)
 
+    @pytest.mark.parametrize("ratio", [float("nan"), float("inf"), 0.5])
+    def test_skew_ratio_must_be_finite_and_at_least_one(self, ratio):
+        with pytest.raises(ValueError, match="skew ratio must be finite and >= 1"):
+            cluster_sizes(Skewed(3, ratio), 20)
+
 
 class TestGenerate:
     def test_degenerate_single_cluster(self):
@@ -178,6 +183,21 @@ class TestGenerate:
         g = Distribution(Support((0.0, 2.0)), (0.5, 0.5))
         with pytest.raises(ValueError, match="support mismatch"):
             generate(10, Balanced(2), f, g, seed=0)
+
+    def test_support_beyond_uint16_rejected_before_w_is_allocated(self, monkeypatch):
+        from oclust.divergence import Distribution, Support
+
+        q = (1 << 16) + 1
+        probs = np.zeros(q)
+        probs[-1] = 1.0  # every pair takes value 65536, which uint16 wraps to 0
+        f = Distribution(Support(tuple(range(q))), probs)
+
+        def no_allocation(n, dtype):
+            raise AssertionError("W allocated")
+
+        monkeypatch.setattr(instance_mod, "_w_array", no_allocation)
+        with pytest.raises(ValueError, match="65536"):
+            generate(4, Balanced(2), f, f, seed=0)
 
     def test_chi_square_goodness_of_fit(self):
         # sanity, not a proof: intra entries look like f_plus at alpha=0.001

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mc_reference import mc_events, reference_mc
 
-from oclust import solver_mc
+from oclust import estimation, solver_mc
 from oclust.clustering import partition_equal
 from oclust.divergence import Distribution, Support, bernoulli, from_text, hellinger
 from oclust.estimation import Constants
@@ -311,7 +311,7 @@ class TestJoinBatch:
     def test_matches_sequential_joins(self, monkeypatch, case, rows):
         inst = self.CASES[case]()
         if rows is not None:
-            monkeypatch.setattr(solver_mc, "_JOIN_CELLS", rows * inst.n)
+            monkeypatch.setattr(estimation, "_GATHER_CELLS", rows * inst.n)
         for n_placed in (1, 25):
             base, rest = _placed_state(inst, seed=n_placed, n_placed=n_placed)
             sizes = [base.clustering.size(c) for c in range(base.clustering.num_clusters)]
