@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from hashlib import sha256
 from itertools import product
@@ -244,6 +243,9 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[RunReport], list[dict
     if workers == 1:
         trials = [_run_trial(task) for task in tasks]
     else:
+        # imported here: it pulls multiprocessing and socket into the process
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             trials = list(pool.map(_run_trial, tasks, chunksize=1))
     reports = [rep for trial in trials for rep in trial]

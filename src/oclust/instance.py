@@ -4,12 +4,14 @@ An instance is n elements, a ground-truth partition into k clusters, and an
 upper-triangular matrix W of similarity values: intra-cluster entries are
 i.i.d. draws from ``f_plus``, inter-cluster entries from ``f_minus``. W is
 held once, as an n x n array of support indices (one byte per pair for
-q <= 256): ``generate`` and ``load`` fill its upper triangle in place, and
-the first ``SideInfo.dense()`` call mirrors it into the lower one. Files and
-fingerprints take W's flat row-major upper triangle from the array's rows
-(``generate`` hashes each drawing step instead), so neither copies W. An
-array of 4 MiB or more lives in a memory mapping of its own, which the next
-W of the same size reuses once the array is gone (:func:`_w_array`).
+q <= 256). ``generate``, ``load`` and ``SideInfo(...)`` fill only the front
+of that array, with W's flat row-major upper triangle, the form files and
+fingerprints use; the first ``SideInfo.dense()`` call moves the rows into
+place and mirrors them. ``generate`` hashes each drawing step as it writes
+it, and ``load`` hashes the packed triangle on a helper thread, so a solver
+that never reads W runs while W is hashed. An array of 4 MiB or more lives
+in a memory mapping of its own, which the next W of the same size reuses
+once the array is gone (:func:`_w_array`).
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import stat
 import struct
 import threading
 import weakref
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 from hashlib import sha256
@@ -141,32 +144,30 @@ class SideInfo:
     """The matrix W of support indices, held as one n x n array (uint8, or
     uint16 for q > 256).
 
-    Only the upper triangle, ``w[u, v]`` for u < v, is always valid; its row
-    slices ``w[u, u + 1:]`` in order are W's flat row-major triangle, the
-    form that files and fingerprints use. The first :meth:`dense` call fills
-    the lower triangle and zeroes the diagonal in place, then marks the
-    array read-only; nothing else reads below the diagonal.
+    Until the first :meth:`dense` call the array is packed: its first
+    n(n-1)/2 cells hold W's flat row-major upper triangle, and the rest is
+    undefined. That call moves the rows to ``w[u, u + 1:]``, fills the lower
+    triangle, zeroes the diagonal, and marks the array read-only.
     """
 
-    __slots__ = ("n", "support", "_w")
+    __slots__ = ("n", "support", "_w", "_reader")
 
     def __init__(self, n: int, support: Support, tri: np.ndarray):
-        """W from ``tri``, its flat row-major upper triangle."""
+        """W from ``tri``, its flat row-major upper triangle of support
+        indices, stored in the cell type :func:`_dtype_for_q` gives."""
         expected = n * (n - 1) // 2
         if tri.shape != (expected,):
             raise ValueError(f"side_info has {tri.shape[0]} entries, expected {expected}")
         _check_range(tri, support.q)
-        w = _w_array(n, tri.dtype)
-        starts = _row_starts(n)
-        for u in range(n - 1):
-            w[u, u + 1 :] = tri[starts[u] : starts[u + 1]]
-        self.n, self.support, self._w = n, support, w
+        w = _w_array(n, _dtype_for_q(support.q))
+        w.reshape(-1)[:expected] = tri
+        self.n, self.support, self._w, self._reader = n, support, w, None
 
     @classmethod
     def _wrap(cls, n: int, support: Support, w: np.ndarray) -> SideInfo:
-        """Take ``w``, whose upper triangle holds W, without copying it."""
+        """Take ``w``, packed with W's triangle, without copying it."""
         side = cls.__new__(cls)
-        side.n, side.support, side._w = n, support, w
+        side.n, side.support, side._w, side._reader = n, support, w, None
         return side
 
     @property
@@ -177,46 +178,68 @@ class SideInfo:
     def dtype(self) -> np.dtype:
         return self._w.dtype
 
-    def upper_rows(self):
-        """The views ``w[u, u + 1:]``, u = 0..n-2: W's flat triangle in rows."""
-        w = self._w
-        return (w[u, u + 1 :] for u in range(self.n - 1))
+    @contextmanager
+    def _pieces(self):
+        """W's flat row-major triangle as consecutive views: the packed
+        triangle whole, or the rows ``w[u, u + 1:]`` once :meth:`dense` has
+        moved them. While W is packed the ``with`` block holds
+        ``_MIRROR_LOCK``, so no first :meth:`dense` moves the rows under it;
+        code inside the block must not call :meth:`dense`."""
+        w, n = self._w, self.n
+        with _MIRROR_LOCK:
+            if w.flags.writeable:
+                yield (w.reshape(-1)[: n * (n - 1) // 2],)
+                return
+        yield (w[u, u + 1 :] for u in range(n - 1))
 
     @property
     def tri(self) -> np.ndarray:
         """A fresh copy of W's flat row-major upper triangle."""
         out = np.empty(self.n * (self.n - 1) // 2, dtype=self._w.dtype)
-        for start, row in zip(_row_starts(self.n).tolist(), self.upper_rows()):
-            out[start : start + row.size] = row
+        start = 0
+        with self._pieces() as pieces:
+            for piece in pieces:
+                out[start : start + piece.size] = piece
+                start += piece.size
         return out
 
     def dense(self) -> np.ndarray:
         """Full symmetric n x n index matrix (diagonal zero), read-only.
 
-        The first call mirrors the upper triangle in place; solvers use the
-        result for vectorized row gathers.
+        The first call waits for a thread still hashing the packed triangle
+        (see :func:`load`), then unpacks W in place; solvers use the result
+        for vectorized row gathers.
         """
         w = self._w
-        if w.flags.writeable:  # not mirrored yet
+        if w.flags.writeable:  # still packed
             with _MIRROR_LOCK:  # a second thread must not write after setflags
                 if w.flags.writeable:
-                    _mirror(w)
+                    if self._reader is not None:
+                        self._reader.join()
+                    _unpack(w)
                     w.setflags(write=False)
         return w
 
 
-def _mirror(w: np.ndarray) -> None:
-    """Copy the upper triangle of ``w`` into the lower one and zero the
-    diagonal, whatever they held."""
+def _unpack(w: np.ndarray) -> None:
+    """Turn the packed triangle at the front of ``w`` into the full
+    symmetric matrix with a zero diagonal, whatever the rest of ``w`` held."""
+    n = w.shape[0]
+    flat = w.reshape(-1)
+    starts = _row_starts(n).tolist()
+    # the last row first: a row's place never starts before its packed
+    # stretch, so no row still to move is overwritten
+    for u in range(n - 2, -1, -1):
+        w[u, u + 1 :] = flat[starts[u] : starts[u] + n - u - 1]
     b = _MIRROR_TILE
-    for i in range(0, w.shape[0], b):
+    for i in range(0, n, b):
         for j in range(0, i, b):
             w[i : i + b, j : j + b] = w[j : j + b, i : i + b].T
         upper = np.triu(w[i : i + b, i : i + b], 1)
         np.add(upper, upper.T, out=w[i : i + b, i : i + b])
 
 
-# Edge of the square tiles _mirror copies one at a time: a whole-matrix
+# Edge of the square tiles _unpack mirrors one at a time: a whole-matrix
 # transpose reads column-wise across all of memory and costs ~10x.
 _MIRROR_TILE = 256
 _MIRROR_LOCK = threading.Lock()
@@ -270,14 +293,17 @@ def _keep_spare(mm: mmap.mmap) -> None:
 
 
 def _check_range(tri: np.ndarray, q: int) -> None:
-    if tri.size and int(tri.max()) >= q:
+    if tri.dtype.kind not in "ui":
+        raise ValueError(f"side_info has dtype {tri.dtype}, not an integer type")
+    if tri.size and (int(tri.max()) >= q or (tri.dtype.kind == "i" and int(tri.min()) < 0)):
         raise ValueError("side_info contains an out-of-range support index")
 
 
 def _dtype_for_q(q: int) -> np.dtype:
+    """W's cell type for q values, little-endian on every host."""
     if q > 1 << 16:
         raise ValueError(f"q={q} exceeds 65536, the most values a uint16 cell of W holds")
-    return np.dtype(np.uint8) if q <= 256 else np.dtype(np.uint16)
+    return np.dtype("|u1") if q <= 256 else np.dtype("<u2")
 
 
 class Instance:
@@ -335,12 +361,15 @@ class Instance:
     def fingerprint(self) -> str:
         """Short sha256 of n, seed, labels, W (its flat row-major triangle)
         and both distributions; hashed once, as every field is immutable:
-        by :func:`generate` as it draws W, by :func:`load` as it reads W,
-        else on the first call."""
+        by :func:`generate` as it draws W, by the helper thread :func:`load`
+        starts (this call waits for it), else on the first call."""
+        if self._fingerprint is None and self.side._reader is not None:
+            self.side._reader.join()
         if self._fingerprint is None:
             h = _w_hasher(self.n, self.seed, self.labels)
-            for row in self.side.upper_rows():
-                h.update(row)
+            with self.side._pieces() as pieces:
+                for piece in pieces:
+                    h.update(piece)
             self._fingerprint = _w_digest(h, self.f_plus, self.f_minus)
         return self._fingerprint
 
@@ -351,7 +380,7 @@ class Instance:
             self.n == other.n
             and self.seed == other.seed
             and np.array_equal(self.labels, other.labels)
-            and all(map(np.array_equal, self.side.upper_rows(), other.side.upper_rows()))
+            and np.array_equal(self.side.tri, other.side.tri)
             and self.f_plus == other.f_plus
             and self.f_minus == other.f_minus
         )
@@ -426,9 +455,9 @@ def generate(
     q = f_plus.q
     thr_plus, thr_minus = f_plus.cdf[: q - 1], f_minus.cdf[: q - 1]
     w = _w_array(n, dtype)
+    flat = w.reshape(-1)  # W stays packed: the flat triangle at the front
     starts = _row_starts(n)  # starts[n - 1] is the number of pairs
-    # each step's pairs are contiguous in the flat triangle, so W is hashed
-    # here at a fraction of the cost of hashing the finished array row by row
+    # each step is hashed as it is drawn, while its pairs are in cache
     h = _w_hasher(n, seed, labels)
     r0 = 0
     while r0 < n - 1:
@@ -445,16 +474,12 @@ def generate(
         same = np.repeat(np.tile((True, False), r1 - r0), runs)
         # every pair by f_minus, then the same-cluster pairs, usually a
         # minority, again by f_plus
-        vals = np.empty(hi - lo, dtype=w.dtype)
+        vals = flat[lo:hi]
         _cdf_index(thr_minus, u, vals)
         intra = np.empty(np.count_nonzero(same), dtype=w.dtype)
         _cdf_index(thr_plus, u[same], intra)
         vals[same] = intra
         h.update(vals)
-        # the step's stretch of the flat triangle, into the upper rows of w
-        offsets = (starts[r0 : r1 + 1] - lo).tolist()
-        for r, a, b in zip(range(r0, r1), offsets, offsets[1:]):
-            w[r, r + 1 :] = vals[a:b]
         r0 = r1
     inst = Instance(labels, SideInfo._wrap(n, f_plus.support, w), f_plus, f_minus, seed)
     inst._fingerprint = _w_digest(h, f_plus, f_minus)
@@ -491,15 +516,16 @@ def save(instance: Instance, path: str | Path, sidecar: bool | None = None) -> P
         "w_dtype": instance.side.dtype.str,
     }
     blob = json.dumps(header, separators=(",", ":")).encode()
-    # W goes out one row at a time: a buffer of 256 KiB, not the default
-    # 8 KiB, turns that into a few large writes
+    # W goes out whole while packed, else one row at a time: a buffer of
+    # 256 KiB, not the default 8 KiB, turns the rows into a few large writes
     with open(path, "wb", buffering=1 << 18) as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
         fh.write(instance.labels.astype("<i4").tobytes())
-        for row in instance.side.upper_rows():
-            fh.write(row)
+        with instance.side._pieces() as pieces:
+            for piece in pieces:
+                fh.write(piece)
     if sidecar or (sidecar is None and instance.n <= SIDECAR_MAX_N):
         doc = {
             "n": instance.n,
@@ -508,7 +534,7 @@ def save(instance: Instance, path: str | Path, sidecar: bool | None = None) -> P
             "f_plus": header["f_plus"],
             "f_minus": header["f_minus"],
             "clusters": [list(block) for block in instance.truth],
-            "w_indices": [x for row in instance.side.upper_rows() for x in row.tolist()],
+            "w_indices": instance.side.tri.tolist(),
         }
         Path(str(path) + ".json").write_text(json.dumps(doc, indent=1))
     return path
@@ -517,7 +543,8 @@ def save(instance: Instance, path: str | Path, sidecar: bool | None = None) -> P
 def load(path: str | Path) -> Instance:
     """Read an instance container; re-validates every invariant on load.
 
-    W is read straight into the array the instance keeps.
+    W is read straight into the array the instance keeps, packed, and a
+    helper thread hashes it there for :meth:`Instance.fingerprint`.
     """
     with open(path, "rb") as fh:
         info = os.fstat(fh.fileno())
@@ -558,14 +585,16 @@ def _read(fh, size: int) -> Instance:
     try:
         f_plus = from_text(f_plus_text)
         f_minus = from_text(f_minus_text)
-        w_dtype = np.dtype(dtype_text)
+        w_dtype = _dtype_for_q(f_plus.q)
     except (ValueError, TypeError) as exc:
         raise InstanceFormatError(f"bad header field: {exc}", 9) from exc
     if _header_field(header, int, "q") != f_plus.q:
         raise InstanceFormatError("header q disagrees with f_plus", 9)
-    if w_dtype.kind != "u":
+    if dtype_text != w_dtype.str:
         raise InstanceFormatError(
-            f"bad header field: w_dtype {w_dtype.str!r} is not an unsigned integer", 9
+            f"bad header field: w_dtype {dtype_text!r:.40} is not {w_dtype.str!r},"
+            f" the unsigned integer type for q={f_plus.q}",
+            9,
         )
 
     off = 9 + hlen
@@ -583,30 +612,33 @@ def _read(fh, size: int) -> Instance:
         raise InstanceFormatError("trailing bytes after side information", off + tri_bytes)
     # the triangle lands packed at the front of W's own array
     w = _w_array(n, w_dtype)
-    flat = w.reshape(-1)
-    got = fh.readinto(flat[:npairs].view(np.uint8))
+    packed = w.reshape(-1)[:npairs]
+    got = fh.readinto(packed.view(np.uint8))
     if got != tri_bytes:  # the file shrank while it was read
         raise InstanceFormatError("truncated side-information block", off + got)
 
     try:
-        _check_range(flat[:npairs], f_plus.q)
-        # the packed triangle is W in the fingerprint's order: one
-        # contiguous hash, before the rows move
-        h = _w_hasher(n, seed, labels)
-        h.update(flat[:npairs])
-        # then each row moves to w[u, u + 1:], the last row first: a row's
-        # place never starts before its packed stretch, so no row still to
-        # move is overwritten
-        starts = _row_starts(n).tolist()
-        for u in range(n - 2, -1, -1):
-            w[u, u + 1 :] = flat[starts[u] : starts[u] + n - u - 1]
+        _check_range(packed, f_plus.q)
         inst = Instance(labels, SideInfo._wrap(n, f_plus.support, w), f_plus, f_minus, seed)
-        inst._fingerprint = _w_digest(h, f_plus, f_minus)
     except ValueError as exc:
         raise InstanceFormatError(f"invariant violation: {exc}", off) from exc
     if _header_field(header, int, "k") != inst.k:
         raise InstanceFormatError("header k disagrees with labels", 9)
+    # the packed triangle is W in the fingerprint's order: one contiguous
+    # hash, which releases the GIL, on a thread that alone writes the
+    # fingerprint; dense() waits for it before the rows move
+    h = _w_hasher(n, seed, inst.labels)
+    reader = threading.Thread(target=_finish_fingerprint, args=(inst, h, packed))
+    reader.start()
+    inst.side._reader = reader
     return inst
+
+
+def _finish_fingerprint(inst: Instance, h, packed: np.ndarray) -> None:
+    """Feed ``h`` from :func:`_w_hasher` the packed triangle and store the
+    fingerprint on ``inst``."""
+    h.update(packed)
+    inst._fingerprint = _w_digest(h, inst.f_plus, inst.f_minus)
 
 
 def _header_field(header: dict, kind: type, key: str):

@@ -133,6 +133,28 @@ def test_run_malformed_instance_header_exits_two(tmp_path, capsys, field, value)
     assert "byte offset 9" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "fplus, fminus, w_dtype",
+    [
+        ("0:0.1,1:0.9", "0:0.9,1:0.1", "<u8"),
+        (",".join(f"{i}:{1 / 300}" for i in range(300)), ",".join(f"{i}:{1 / 300}" for i in range(300)), ">u2"),
+    ],
+    ids=["q2-u8", "q300-big-endian"],
+)
+def test_run_non_canonical_w_dtype_exits_two(tmp_path, capsys, fplus, fminus, w_dtype):
+    path = tmp_path / "demo.oclb"
+    main(["gen", "--n", "20", "--k", "2", "--fplus", fplus, "--fminus", fminus, "--out", str(path), "--sidecar", "no"])
+    blob = path.read_bytes()
+    (hlen,) = struct.unpack("<I", blob[5:9])
+    raw = json.dumps({**json.loads(blob[9 : 9 + hlen]), "w_dtype": w_dtype}).encode()
+    path.write_bytes(blob[:5] + struct.pack("<I", len(raw)) + raw + blob[9 + hlen :])
+    capsys.readouterr()
+    code = main(["run", "--algo", "baseline", "--instance", str(path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "byte offset 9" in err and repr(w_dtype) in err
+
+
 def test_run_missing_instance_file_exits_two(tmp_path, capsys):
     code = main(["run", "--algo", "lv", "--instance", str(tmp_path / "missing.oclb")])
     assert code == 2

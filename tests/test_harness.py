@@ -1,6 +1,10 @@
+import concurrent.futures
 import hashlib
 import json
+import os
 import pickle
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from itertools import product
 from pathlib import Path
@@ -286,7 +290,8 @@ class TestRunExperiment:
             def map(self, fn, tasks, chunksize=1):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+        # run_experiment imports the pool class from here when it starts one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         monkeypatch.setenv("OCL_THREADS", "5000")
         reports, _ = run_experiment(pinned_config())
         assert asked == [16]  # 2 ns x 2 cluster specs x 2 dists x 2 trials
@@ -295,6 +300,16 @@ class TestRunExperiment:
         reports, _ = run_experiment(small_config())
         assert asked == [16, 2]  # 2 trials
         assert all(isinstance(r, RunReport) for r in reports)
+
+    def test_import_loads_no_process_pool(self):
+        # the pool's module pulls multiprocessing and socket in; only a sweep
+        # that starts a pool needs it
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        code = "import sys, oclust; print('concurrent.futures.process' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "False"
 
     @pytest.mark.parametrize("raw", ["two", "1.5", "0x4"])
     def test_non_integer_thread_count_is_config_error(self, monkeypatch, raw):

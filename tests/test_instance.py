@@ -284,13 +284,19 @@ class TestOneArray:
         assert np.array_equal(inst.side.dense(), dense)
 
     def test_dense_overwrites_whatever_lies_below_the_diagonal(self):
-        # load leaves the packed triangle's stale bytes below the diagonal
-        tri = np.arange(300 * 299 // 2, dtype=np.int64) % 3
-        side = instance_mod.SideInfo(300, from_text(WEAK3[0]).support, tri)
-        side._w[np.tril_indices(300)] = 2
-        dense = side.dense()
-        assert np.array_equal(dense, dense.T) and not dense.diagonal().any()
-        assert np.array_equal(dense[np.triu_indices(300, k=1)], tri)
+        # a packed W's cells past its triangle, which take in all of the
+        # lower triangle, hold whatever the array held: junk in every byte of
+        # them must not reach dense()
+        n = 300
+        for pmfs in ("weak3", "wide"):  # one byte and two bytes per cell
+            support = self.PMFS[pmfs]()[0].support
+            tri = np.arange(n * (n - 1) // 2, dtype=np.int64) % support.q
+            side = instance_mod.SideInfo(n, support, tri)
+            junk = side._w.reshape(-1)[tri.size :].view(np.uint8)
+            junk[:] = np.random.default_rng(0).integers(1, 256, junk.size, dtype=np.uint8)
+            dense = side.dense()
+            assert np.array_equal(dense, dense.T) and not dense.diagonal().any()
+            assert np.array_equal(dense[np.triu_indices(n, k=1)], tri)
 
     def test_first_dense_calls_from_many_threads(self):
         # every thread must get the finished mirror; none may write into the
@@ -318,6 +324,119 @@ class TestOneArray:
                 assert np.array_equal(got[0], got[0].T) and not got[0].diagonal().any()
         finally:
             sys.setswitchinterval(interval)
+
+    def test_first_reads_of_a_loaded_instance_from_many_threads(self, tmp_path):
+        # load's helper thread is still hashing while threads race to take
+        # the fingerprint, unpack W and read its packed bytes: every one must
+        # see the one fingerprint and the file's exact bytes
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for seed in range(4):
+                made = generate(600, Balanced(3), *(from_text(t) for t in WEAK3), seed=seed)
+                path = save(made, tmp_path / "inst.oclb")
+                blob, tri = path.read_bytes(), made.side.tri
+                inst = load(path)
+                got, errors = [], []
+
+                def read(i):
+                    try:
+                        kind = i % 4
+                        if kind == 0:
+                            got.append(("fp", inst.fingerprint()))
+                        elif kind == 1:
+                            got.append(("dense", inst.side.dense()))
+                        elif kind == 2:
+                            got.append(("tri", inst.side.tri))
+                        else:
+                            got.append(("file", save(inst, tmp_path / f"out{i}.oclb").read_bytes()))
+                    except Exception as exc:  # reported by the assert below
+                        errors.append(exc)
+
+                threads = [threading.Thread(target=read, args=(i,)) for i in range(12)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads) and not errors
+                assert len(got) == 12
+                for kind, value in got:
+                    if kind == "fp":
+                        assert value == made.fingerprint()
+                    elif kind == "dense":
+                        assert value is inst.side.dense()
+                        assert np.array_equal(value[np.triu_indices(600, k=1)], tri)
+                        assert np.array_equal(value, value.T) and not value.diagonal().any()
+                    elif kind == "tri":
+                        assert np.array_equal(value, tri)
+                    else:
+                        assert value == blob
+                assert inst.fingerprint() == made.fingerprint()
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_dense_and_fingerprint_wait_for_the_hash(self, tmp_path, monkeypatch):
+        # load's helper thread is held at a gate: the first dense() must not
+        # move the rows, nor fingerprint() hash W again, until it has hashed
+        made = generate(300, Balanced(3), bernoulli(0.9), bernoulli(0.1), seed=2)
+        path = save(made, tmp_path / "inst.oclb")
+        gate, finish = threading.Event(), instance_mod._finish_fingerprint
+        hashers = []
+
+        def counting_sha256():
+            hashers.append(1)
+            return hashlib.sha256()
+
+        def gated(*args):
+            gate.wait(timeout=60)
+            finish(*args)
+
+        monkeypatch.setattr(instance_mod, "_finish_fingerprint", gated)
+        monkeypatch.setattr(instance_mod, "sha256", counting_sha256)
+        inst = load(path)
+        got = {}
+        readers = [
+            threading.Thread(target=lambda: got.setdefault("dense", inst.side.dense())),
+            threading.Thread(target=lambda: got.setdefault("fp", inst.fingerprint())),
+        ]
+        for t in readers:
+            t.start()
+        for t in readers:
+            t.join(timeout=0.2)
+        assert all(t.is_alive() for t in readers) and not got
+        gate.set()
+        for t in readers:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in readers)
+        assert got["fp"] == made.fingerprint() and len(hashers) == 1
+        assert np.array_equal(got["dense"][np.triu_indices(300, k=1)], made.side.tri)
+
+    def test_baseline_leaves_a_loaded_w_packed(self, tmp_path):
+        # the baseline reads only the oracle: W stays packed, and its
+        # fingerprint comes from load's helper thread
+        from oclust.solver_lv import run_baseline
+
+        made = generate(300, Balanced(3), bernoulli(0.9), bernoulli(0.1), seed=2)
+        inst = load(save(made, tmp_path / "inst.oclb"))
+        _, report = run_baseline(inst, 1)
+        assert report.fingerprint == made.fingerprint() and report.exact
+        assert inst.side._w.flags.writeable  # no dense() call unpacked it
+        assert np.array_equal(inst.side._w.reshape(-1)[: 300 * 299 // 2], made.side.tri)
+
+    def test_side_info_takes_the_cell_type_of_q(self, tmp_path):
+        # W from a triangle of any integer type is stored, saved and loaded
+        # in the one cell type for q; a negative or non-integer index is
+        # rejected, not wrapped or truncated
+        fp, fm = (from_text(t) for t in WEAK3)
+        tri = np.arange(45, dtype=np.int64) % 3
+        side = instance_mod.SideInfo(10, fp.support, tri)
+        assert side.dtype == np.uint8 and np.array_equal(side.tri, tri)
+        inst = instance_mod.Instance(np.repeat(np.arange(2), 5), side, fp, fm, seed=1)
+        again = load(save(inst, tmp_path / "inst.oclb", sidecar=False))
+        assert again == inst and again.fingerprint() == inst.fingerprint()
+        for bad in (tri - 1, tri.astype(np.float64)):
+            with pytest.raises(ValueError, match="side_info"):
+                instance_mod.SideInfo(10, fp.support, bad)
 
     def test_tri_is_a_fresh_copy(self):
         inst = generate(50, Balanced(2), bernoulli(0.9), bernoulli(0.1), seed=1)
@@ -600,6 +719,32 @@ class TestPersistence:
     def test_non_unsigned_w_dtype_is_format_error(self, tmp_path, dtype):
         with pytest.raises(InstanceFormatError, match="unsigned"):
             load(self._with_header(tmp_path, w_dtype=dtype))
+
+    @pytest.mark.parametrize(
+        "pmfs, dtype",
+        [("binary", "<u8"), ("binary", "<u2"), ("binary", "u1"), ("wide", ">u2"), ("wide", "|u1")],
+    )
+    def test_non_canonical_w_dtype_is_rejected_before_w_is_allocated(
+        self, tmp_path, monkeypatch, pmfs, dtype
+    ):
+        # one cell type per q, little-endian: |u1, or <u2 for q > 256
+        fp, fm = TestOneArray.PMFS[pmfs]()
+        inst = generate(30, Balanced(3), fp, fm, seed=4)
+        blob = save(inst, tmp_path / "inst.oclb", sidecar=False).read_bytes()
+        (hlen,) = struct.unpack("<I", blob[5:9])
+        header = json.loads(blob[9 : 9 + hlen])
+        assert header["w_dtype"] == ("<u2" if pmfs == "wide" else "|u1")
+        raw = json.dumps({**header, "w_dtype": dtype}).encode()
+        path = tmp_path / "edited.oclb"
+        path.write_bytes(blob[:5] + struct.pack("<I", len(raw)) + raw + blob[9 + hlen :])
+
+        def no_allocation(n, dtype):
+            raise AssertionError("W allocated")
+
+        monkeypatch.setattr(instance_mod, "_w_array", no_allocation)
+        with pytest.raises(InstanceFormatError, match="w_dtype") as err:
+            load(path)
+        assert err.value.offset == 9
 
     @pytest.mark.parametrize(
         "fields, match",
