@@ -9,10 +9,12 @@ across worker processes (``OCL_THREADS`` caps the worker count).
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from hashlib import sha256
 from itertools import product
 from pathlib import Path
@@ -46,14 +48,15 @@ class ConfigError(ValueError):
 
 @dataclass
 class ExperimentConfig:
-    """One benchmark sweep: the cell axes, algorithms, and trial budget."""
+    """One benchmark sweep: the cell axes, algorithms, and trial budget.
+    The fields and their defaults are the bench config's JSON schema."""
 
-    ns: list[int]
-    ks: list[int]
-    dists: list[tuple[str, str]]  # (f_plus, f_minus) wire-format pairs
-    algos: list[str]
-    trials: int
-    base_seed: int
+    ns: list[int] = field(default_factory=list)
+    ks: list[int] = field(default_factory=list)
+    dists: list[tuple[str, str]] = field(default_factory=list)  # (f_plus, f_minus) wire-format pairs
+    algos: list[str] = field(default_factory=list)
+    trials: int = 1
+    base_seed: int = 0
     constants: Constants = field(default_factory=Constants)
     band: str = "lemma"
     cluster_specs: list[str] = field(default_factory=lambda: ["balanced"])
@@ -105,10 +108,7 @@ class ExperimentConfig:
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
         if not isinstance(doc, dict):
             raise ConfigError("config: expected a JSON object")
-        known = {
-            "ns", "ks", "dists", "algos", "trials", "base_seed",
-            "constants", "band", "cluster_specs", "timings",
-        }
+        known = {f.name for f in fields(cls)}
         for key in doc:
             if key not in known:
                 raise ConfigError(f"{key}: unknown configuration key")
@@ -125,18 +125,7 @@ class ExperimentConfig:
         dists = doc.get("dists", [])
         if isinstance(dists, list):
             dists = [tuple(p) if isinstance(p, list) else p for p in dists]
-        cfg = cls(
-            ns=doc.get("ns", []),
-            ks=doc.get("ks", []),
-            dists=dists,
-            algos=doc.get("algos", []),
-            trials=doc.get("trials", 1),
-            base_seed=doc.get("base_seed", 0),
-            constants=consts,
-            band=doc.get("band", "lemma"),
-            cluster_specs=doc.get("cluster_specs", ["balanced"]),
-            timings=doc.get("timings", False),
-        )
+        cfg = cls(**{**doc, "constants": consts, "dists": dists})
         cfg.validate()
         return cfg
 
@@ -193,9 +182,7 @@ def _run_trial(task: tuple) -> list[RunReport]:
         _, report = SOLVERS[algo](inst, run_seed, consts, band)
         if not timings:
             report.wall_ms = 0.0
-        report.extras["f_plus"] = fp_text
-        report.extras["f_minus"] = fm_text
-        report.extras["cluster_spec"] = spec_text
+        report.extras.update(f_plus=fp_text, f_minus=fm_text, cluster_spec=spec_text)
         out.append(report)
     return out
 
@@ -252,14 +239,25 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[RunReport], list[dict
     return reports, aggregate(reports)
 
 
+# an aggregate row's label: the algorithm, the report's n and k, and the
+# cell label _run_trial writes into its extras
+CELL_COLUMNS = ["algo", "n", "k", "cluster_spec", "f_plus", "f_minus"]
+AGG_COLUMNS = CELL_COLUMNS + [
+    "trials", "median_queries", "mean_queries", "ci95_lo", "ci95_hi",
+    "success_rate", "lb_queries", "lb_error_at_median_q",
+]
+
+
 def aggregate(reports: Sequence[RunReport]) -> list[dict]:
     """Median/mean/CI of queries and the success rate per (cell, algorithm)."""
     cells: dict[tuple, list[RunReport]] = {}
     for r in reports:
-        key = (r.algo, r.n, r.k, r.extras.get("f_plus", ""), r.extras.get("f_minus", ""))
+        x = r.extras
+        key = (r.algo, r.n, r.k, x["cluster_spec"], x["f_plus"], x["f_minus"])
         cells.setdefault(key, []).append(r)
     rows = []
-    for (algo, n, k, fp_text, fm_text), group in sorted(cells.items()):
+    for key, group in sorted(cells.items()):
+        _, n, k, _, fp_text, fm_text = key
         queries = [r.queries for r in group]
         mu = mean(queries)
         if len(queries) > 1:
@@ -267,7 +265,7 @@ def aggregate(reports: Sequence[RunReport]) -> list[dict]:
             delta = 1.96 * sd / math.sqrt(len(queries))
         else:
             delta = 0.0
-        h = hellinger(from_text(fp_text), from_text(fm_text)) if fp_text else 0.0
+        h = hellinger(from_text(fp_text), from_text(fm_text))
         med = median(queries)
         # informational: the error-probability floor at the achieved budget
         # (equal-size reading a = n // k; desk-scale constants caveat applies)
@@ -279,11 +277,7 @@ def aggregate(reports: Sequence[RunReport]) -> list[dict]:
             )
         rows.append(
             {
-                "algo": algo,
-                "n": n,
-                "k": k,
-                "f_plus": fp_text,
-                "f_minus": fm_text,
+                **dict(zip(CELL_COLUMNS, key)),
                 "trials": len(group),
                 "median_queries": med,
                 "mean_queries": mu,
@@ -300,19 +294,11 @@ def aggregate(reports: Sequence[RunReport]) -> list[dict]:
 # ---------------------------------------------------------------------------
 # emission
 
-AGG_COLUMNS = [
-    "algo", "n", "k", "f_plus", "f_minus", "trials", "median_queries",
-    "mean_queries", "ci95_lo", "ci95_hi", "success_rate", "lb_queries",
-    "lb_error_at_median_q",
-]
-
 
 def emit(
     reports: Sequence[RunReport],
     out_dir: str | Path,
-    formats: Sequence[str] = ("csv", "json", "svg"),
     aggregates: Optional[list[dict]] = None,
-    stem: str = "reports",
 ) -> dict[str, Path]:
     """Write the reports as CSV (fixed column order), JSON (full fidelity),
     an aggregate CSV, and a queries-vs-n SVG with the lower bound overlaid."""
@@ -320,48 +306,34 @@ def emit(
     out_dir.mkdir(parents=True, exist_ok=True)
     if aggregates is None:
         aggregates = aggregate(reports)
+    files = {
+        "csv": ("reports.csv", reports_csv(reports)),
+        "aggregate_csv": ("reports_aggregate.csv", _aggregate_csv(aggregates)),
+        "json": ("reports.json", json.dumps([r.to_dict() for r in reports], indent=1)),
+        "svg": ("reports.svg", queries_vs_n_svg(aggregates)),
+    }
     written: dict[str, Path] = {}
-    if "csv" in formats:
-        path = out_dir / f"{stem}.csv"
-        path.write_text(reports_csv(reports))
-        written["csv"] = path
-        agg_path = out_dir / f"{stem}_aggregate.csv"
-        agg_path.write_text(_aggregate_csv(aggregates))
-        written["aggregate_csv"] = agg_path
-    if "json" in formats:
-        path = out_dir / f"{stem}.json"
-        path.write_text(json.dumps([r.to_dict() for r in reports], indent=1))
-        written["json"] = path
-    if "svg" in formats:
-        path = out_dir / f"{stem}.svg"
-        path.write_text(queries_vs_n_svg(aggregates))
-        written["svg"] = path
+    for kind, (name, text) in files.items():
+        written[kind] = out_dir / name
+        written[kind].write_text(text)
     return written
 
 
 def reports_csv(reports: Sequence[RunReport]) -> str:
-    lines = [",".join(CSV_COLUMNS)]
-    for r in reports:
-        lines.append(",".join(_csv_cell(x) for x in r.csv_row()))
-    return "\n".join(lines) + "\n"
+    return _csv(CSV_COLUMNS, (r.csv_row() for r in reports))
 
 
 def _aggregate_csv(rows: list[dict]) -> str:
-    lines = [",".join(AGG_COLUMNS)]
-    for row in rows:
-        lines.append(",".join(_csv_cell(row[c]) for c in AGG_COLUMNS))
-    return "\n".join(lines) + "\n"
+    return _csv(AGG_COLUMNS, ([row[c] for c in AGG_COLUMNS] for row in rows))
 
 
-def _csv_cell(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, float):
-        return repr(x)
-    text = str(x)
-    if "," in text or '"' in text:
-        return '"' + text.replace('"', '""') + '"'
-    return text
+def _csv(header: list[str], rows) -> str:
+    """The one CSV writer: minimal quoting, floats as repr, None as empty."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def queries_vs_n_svg(aggregates: list[dict], width: int = 640, height: int = 420) -> str:

@@ -9,7 +9,9 @@ from pathlib import Path
 
 import pytest
 
+from oclust import solver_lv
 from oclust.cli import main
+from oclust.clustering import ClusteringState
 from oclust.divergence import bernoulli, to_text
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -333,3 +335,43 @@ def test_bench_non_integer_thread_count_exits_two(tmp_path, capsys, monkeypatch)
     code = main(["bench", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
     assert code == 2
     assert "OCL_THREADS" in capsys.readouterr().err
+
+
+def _all_singletons(side, oracle):
+    # an LV that breaks its exactness guarantee: every vertex alone, no query
+    state = ClusteringState(side.n)
+    for v in range(side.n):
+        state.new_cluster(v)
+    return state
+
+
+def _assert_invariant_exit(code, err):
+    assert code == 3
+    assert err.startswith("invariant violated: lv must recover the exact partition")
+    assert err.count("\n") == 1
+
+
+def test_bench_check_invariant_violation_exits_three(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(solver_lv, "solve_lv", _all_singletons)
+    monkeypatch.delenv("OCL_THREADS", raising=False)
+    cfg = {"ns": [40], "ks": [2], "dists": [["0:0.1,1:0.9", "0:0.9,1:0.1"]], "algos": ["baseline", "lv"]}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    code = main(["bench", "--config", str(cfg_path), "--out", str(tmp_path / "out"), "--check"])
+    captured = capsys.readouterr()
+    _assert_invariant_exit(code, captured.err)
+    assert captured.out == ""
+
+
+def test_run_lv_invariant_violation_exits_three(tmp_path, capsys, monkeypatch):
+    inst_path = tmp_path / "demo.oclb"
+    run_cli(
+        capsys,
+        "gen", "--n", "40", "--k", "2", "--fplus", "0:0.1,1:0.9",
+        "--fminus", "0:0.9,1:0.1", "--seed", "5", "--out", str(inst_path),
+    )
+    monkeypatch.setattr(solver_lv, "solve_lv", _all_singletons)
+    code = main(["run", "--algo", "lv", "--instance", str(inst_path)])
+    captured = capsys.readouterr()
+    _assert_invariant_exit(code, captured.err)
+    assert captured.out == ""

@@ -1,4 +1,5 @@
 import concurrent.futures
+import csv
 import hashlib
 import json
 import os
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from oclust import harness
 from oclust.harness import (
+    AGG_COLUMNS,
     ConfigError,
     ExperimentConfig,
     aggregate,
@@ -238,7 +240,7 @@ class TestRunExperiment:
         assert len(reports) == 48
         digest = hashlib.sha256(reports_csv(reports).encode()).hexdigest()
         assert digest == PINNED_SWEEP_SHA256
-        json_path = emit(reports, tmp_path, formats=("json",))["json"]
+        json_path = emit(reports, tmp_path)["json"]
         assert hashlib.sha256(json_path.read_bytes()).hexdigest() == PINNED_REPORTS_JSON_SHA256
 
     def test_generate_runs_once_per_trial(self, monkeypatch):
@@ -360,9 +362,19 @@ class TestRunExperiment:
 
 class TestEmit:
     def test_empty_reports_header_only(self, tmp_path):
-        written = emit([], tmp_path, formats=("csv",))
-        text = written["csv"].read_text()
-        assert text == ",".join(CSV_COLUMNS) + "\n"
+        written = emit([], tmp_path)
+        assert sorted(written) == ["aggregate_csv", "csv", "json", "svg"]
+        assert written["csv"].read_text() == ",".join(CSV_COLUMNS) + "\n"
+        assert written["aggregate_csv"].read_text() == ",".join(AGG_COLUMNS) + "\n"
+
+    def test_aggregate_csv_has_cluster_spec_column(self):
+        _, rows = run_experiment(small_config(trials=1, algos=["lv"]))
+        lines = harness._aggregate_csv(rows).splitlines()
+        assert lines[0] == (
+            "algo,n,k,cluster_spec,f_plus,f_minus,trials,median_queries,mean_queries,"
+            "ci95_lo,ci95_hi,success_rate,lb_queries,lb_error_at_median_q"
+        )
+        assert lines[1].startswith('lv,60,3,balanced,"0:0.1,1:0.9","0:0.9,1:0.1",1,')
 
     def test_json_round_trip(self, tmp_path):
         cfg = small_config(trials=1)
@@ -374,7 +386,7 @@ class TestEmit:
     def test_csv_columns_fixed_order(self, tmp_path):
         cfg = small_config(trials=1)
         reports, _ = run_experiment(cfg)
-        written = emit(reports, tmp_path, formats=("csv",))
+        written = emit(reports, tmp_path)
         header = written["csv"].read_text().splitlines()[0]
         assert header == "algo,n,k,seed,queries,q_phase1,q_phase2,q_phase3,exact,misassigned,ms"
 
@@ -400,16 +412,33 @@ class TestEmit:
         assert len(bound) == 1
 
     def test_aggregates_recomputable_from_csv(self, tmp_path):
-        cfg = small_config(trials=4, algos=["lv", "baseline"])
+        cfg = small_config(trials=4, algos=["lv", "baseline"], cluster_specs=["balanced", "skewed:4"])
         reports, aggregates = run_experiment(cfg)
-        written = emit(reports, tmp_path, formats=("csv",), aggregates=aggregates)
-        lines = written["csv"].read_text().strip().splitlines()
-        cols = lines[0].split(",")
-        rows = [dict(zip(cols, line.split(","))) for line in lines[1:]]
-        for agg in aggregates:
-            qs = [int(r["queries"]) for r in rows if r["algo"] == agg["algo"]]
-            assert abs(median(qs) - agg["median_queries"]) <= 1e-9
-            assert abs(mean(qs) - agg["mean_queries"]) <= 1e-9
+        written = emit(reports, tmp_path, aggregates=aggregates)
+        with written["csv"].open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        # reports.csv holds no cell label; reports.json, in the same order, does
+        specs = [d["extras"]["cluster_spec"] for d in json.loads(written["json"].read_text())]
+        with written["aggregate_csv"].open(newline="") as fh:
+            agg_rows = list(csv.DictReader(fh))
+        assert len(agg_rows) == len(aggregates) == len(cfg.algos) * len(cfg.cluster_specs)
+        for agg in agg_rows:
+            qs = [
+                int(r["queries"])
+                for r, spec in zip(rows, specs)
+                if (r["algo"], spec) == (agg["algo"], agg["cluster_spec"])
+            ]
+            assert len(qs) == int(agg["trials"]) == cfg.trials
+            assert abs(median(qs) - float(agg["median_queries"])) <= 1e-9
+            assert abs(mean(qs) - float(agg["mean_queries"])) <= 1e-9
+
+    def test_one_aggregate_row_per_cell_and_cluster_spec(self):
+        cfg = small_config(cluster_specs=["balanced", "skewed:4"], dists=[BERN_91, WEAK3])
+        _, aggregates = run_experiment(cfg)
+        labels = [tuple(row[c] for c in harness.CELL_COLUMNS) for row in aggregates]
+        cells = product(cfg.algos, cfg.ns, cfg.ks, cfg.cluster_specs, cfg.dists)
+        assert sorted(labels) == sorted((a, n, k, s, fp, fm) for a, n, k, s, (fp, fm) in cells)
+        assert all(row["trials"] == cfg.trials for row in aggregates)
 
     def test_wall_times_zeroed_unless_requested(self):
         cfg = small_config(trials=1)
